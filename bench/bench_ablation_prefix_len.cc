@@ -18,7 +18,7 @@ main(int argc, char **argv)
 {
     using namespace rhtm;
     CliOptions opts(argc, argv);
-    bench::BenchConfig base = bench::parseBenchConfig(opts);
+    bench::BenchConfig base = bench::parseBenchConfig(opts, {"mutation"});
 
     RbTreeBenchParams params;
     params.mutationPct =

@@ -220,7 +220,8 @@ main(int argc, char **argv)
 {
     using namespace rhtm;
     CliOptions opts(argc, argv);
-    bench::BenchConfig cfg = bench::parseBenchConfig(opts);
+    bench::BenchConfig cfg = bench::parseBenchConfig(
+        opts, {"ops", "deadline-ms", "json", "admission", "pathologies"});
 
     AdvConfig ac;
     ac.opsPerThread = static_cast<uint64_t>(opts.getInt("ops", 150));

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "bench/harness.h"
-#include "src/core/fault_points.h"
+#include "src/core/engine/fault_points.h"
 #include "src/fault/schedules.h"
 #include "src/structures/tx_hashmap.h"
 
@@ -219,7 +219,8 @@ main(int argc, char **argv)
 {
     using namespace rhtm;
     CliOptions opts(argc, argv);
-    bench::BenchConfig cfg = bench::parseBenchConfig(opts);
+    bench::BenchConfig cfg = bench::parseBenchConfig(
+        opts, {"accounts", "stats", "schedule"});
     unsigned accounts =
         static_cast<unsigned>(opts.getInt("accounts", 64));
     bool want_stats = opts.has("stats");

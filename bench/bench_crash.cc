@@ -301,7 +301,9 @@ main(int argc, char **argv)
 {
     using namespace rhtm;
     CliOptions opts(argc, argv);
-    bench::BenchConfig cfg = bench::parseBenchConfig(opts);
+    bench::BenchConfig cfg = bench::parseBenchConfig(
+        opts, {"ops", "words", "crash-seed", "torn", "reordered", "json",
+               "revert", "sites"});
 
     CrashConfig cc;
     cc.opsPerThread =

@@ -16,7 +16,7 @@ main(int argc, char **argv)
 {
     using namespace rhtm;
     CliOptions opts(argc, argv);
-    bench::BenchConfig cfg = bench::parseBenchConfig(opts);
+    bench::BenchConfig cfg = bench::parseBenchConfig(opts, {"length", "dup"});
     GenomeParams params;
     params.genomeLength =
         static_cast<unsigned>(opts.getInt("length", 32768));

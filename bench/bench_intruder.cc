@@ -16,7 +16,7 @@ main(int argc, char **argv)
 {
     using namespace rhtm;
     CliOptions opts(argc, argv);
-    bench::BenchConfig cfg = bench::parseBenchConfig(opts);
+    bench::BenchConfig cfg = bench::parseBenchConfig(opts, {"flows"});
     IntruderParams params;
     // The stream wraps with fresh flow ids, so any run length works.
     params.flows = static_cast<unsigned>(opts.getInt("flows", 4096));

@@ -16,7 +16,7 @@ main(int argc, char **argv)
 {
     using namespace rhtm;
     CliOptions opts(argc, argv);
-    bench::BenchConfig cfg = bench::parseBenchConfig(opts);
+    bench::BenchConfig cfg = bench::parseBenchConfig(opts, {"clusters"});
     KmeansParams params;
     params.clusters =
         static_cast<unsigned>(opts.getInt("clusters", 16));

@@ -17,7 +17,8 @@ main(int argc, char **argv)
 {
     using namespace rhtm;
     CliOptions opts(argc, argv);
-    bench::BenchConfig cfg = bench::parseBenchConfig(opts);
+    bench::BenchConfig cfg = bench::parseBenchConfig(
+        opts, {"width", "height"});
     LabyrinthParams params;
     params.width = static_cast<unsigned>(opts.getInt("width", 128));
     params.height = static_cast<unsigned>(opts.getInt("height", 128));

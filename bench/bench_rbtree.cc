@@ -20,7 +20,8 @@ main(int argc, char **argv)
 {
     using namespace rhtm;
     CliOptions opts(argc, argv);
-    bench::BenchConfig cfg = bench::parseBenchConfig(opts);
+    bench::BenchConfig cfg = bench::parseBenchConfig(
+        opts, {"mutation", "size"});
     auto mutations = opts.getIntList("mutation", {4, 10, 40});
     unsigned size = static_cast<unsigned>(opts.getInt("size", 10000));
 

@@ -16,7 +16,7 @@ main(int argc, char **argv)
 {
     using namespace rhtm;
     CliOptions opts(argc, argv);
-    bench::BenchConfig cfg = bench::parseBenchConfig(opts);
+    bench::BenchConfig cfg = bench::parseBenchConfig(opts, {"nodes"});
     Ssca2Params params;
     params.nodes = static_cast<unsigned>(opts.getInt("nodes", 16384));
 

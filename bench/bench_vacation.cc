@@ -17,7 +17,7 @@ main(int argc, char **argv)
 {
     using namespace rhtm;
     CliOptions opts(argc, argv);
-    bench::BenchConfig cfg = bench::parseBenchConfig(opts);
+    bench::BenchConfig cfg = bench::parseBenchConfig(opts, {"contention"});
     std::string contention = opts.getString("contention", "both");
 
     if (contention == "low" || contention == "both") {

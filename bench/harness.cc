@@ -1,5 +1,6 @@
 #include "bench/harness.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -30,13 +31,30 @@ BenchConfig::BenchConfig()
 }
 
 BenchConfig
-parseBenchConfig(const CliOptions &opts)
+parseBenchConfig(const CliOptions &opts,
+                 std::initializer_list<const char *> extraKeys)
 {
+    static const char *const kCommonKeys[] = {
+        "threads", "seconds", "seed", "no-verify", "ht-from", "ht-scale",
+        "abort-prob", "stm-penalty", "stall-budget", "irrevocable-pct",
+        "cm", "read-filter", "redo-index", "ts-extension",
+        "fault-schedule", "algos"};
     BenchConfig cfg;
     if (!opts.errors().empty()) {
         std::fprintf(stderr, "unrecognized argument: %s\n",
                      opts.errors()[0].c_str());
         std::exit(2);
+    }
+    // A mistyped or retired flag must not run a silently different
+    // experiment: reject every key neither list names.
+    for (const std::string &key : opts.keys()) {
+        auto named = [&key](const char *k) { return key == k; };
+        if (std::none_of(std::begin(kCommonKeys), std::end(kCommonKeys),
+                         named) &&
+            std::none_of(extraKeys.begin(), extraKeys.end(), named)) {
+            std::fprintf(stderr, "unknown flag: --%s\n", key.c_str());
+            std::exit(2);
+        }
     }
     cfg.threads = opts.getIntList("threads", cfg.threads);
     cfg.seconds = opts.getDouble("seconds", cfg.seconds);
@@ -77,9 +95,8 @@ parseBenchConfig(const CliOptions &opts)
         }
     }
 
-    // Commit-path campaign switches (docs/COMMIT_PATH.md): the first
-    // three fronts default on, group commit is opt-in; each flag
-    // overrides its default for A/B runs.
+    // Commit-path switches (docs/COMMIT_PATH.md): every front
+    // defaults on; each flag overrides its default for A/B runs.
     auto onOff = [&opts](const char *flag, bool &out) {
         if (!opts.has(flag))
             return;
@@ -97,7 +114,6 @@ parseBenchConfig(const CliOptions &opts)
     onOff("read-filter", cfg.runtime.commitPath.readFilter);
     onOff("redo-index", cfg.runtime.commitPath.redoIndex);
     onOff("ts-extension", cfg.runtime.commitPath.tsExtension);
-    onOff("group-commit", cfg.runtime.commitPath.groupCommit);
 
     if (opts.has("fault-schedule")) {
         std::string name = opts.getString("fault-schedule", "");

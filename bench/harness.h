@@ -16,6 +16,7 @@
 #define RHTM_BENCH_HARNESS_H
 
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -62,12 +63,13 @@ struct BenchConfig
  *   --irrevocable-pct=N        (percent of ops upgraded to
  *                               irrevocability, workloads permitting)
  *   --read-filter=on|off --redo-index=on|off --ts-extension=on|off
- *   --group-commit=on|off      (commit-path campaign switches,
- *                               docs/COMMIT_PATH.md; the first three
- *                               default on, group commit defaults off)
- * Exits with a message on unknown algorithms or stray arguments.
+ *                              (commit-path switches, docs/COMMIT_PATH.md;
+ *                               all default on)
+ * plus the binary's own @p extraKeys. Exits 2 with a message on any
+ * other flag, an unknown algorithm, or a stray argument.
  */
-BenchConfig parseBenchConfig(const CliOptions &opts);
+BenchConfig parseBenchConfig(
+    const CliOptions &opts, std::initializer_list<const char *> extraKeys = {});
 
 /** One cell's outcome. */
 struct CellResult

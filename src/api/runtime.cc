@@ -137,7 +137,6 @@ TmRuntime::registerThread()
     }
     ctx->session_ = makeSession(*ctx);
     ctx->session_->configureCommitPath(cfg_.commitPath);
-    ctx->session_->attachGroupArena(&domain_.groupArena);
     ctx->deadline_.attachInjector(ctx->fault_.get());
     ctx->session_->attachDeadline(&ctx->deadline_);
     ctxs_.push_back(std::move(ctx));

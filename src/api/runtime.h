@@ -15,14 +15,14 @@
 #include <vector>
 
 #include "src/api/action_log.h"
-#include "src/api/tx_defs.h"
 #include "src/api/txn.h"
 #include "src/core/admission.h"
 #include "src/core/engine/deadline.h"
 #include "src/core/engine/domain.h"
+#include "src/core/engine/globals.h"
+#include "src/core/engine/retry_policy.h"
+#include "src/core/engine/session.h"
 #include "src/core/engine/tm_config.h"
-#include "src/core/globals.h"
-#include "src/core/retry_policy.h"
 #include "src/fault/fault_injector.h"
 #include "src/htm/htm_txn.h"
 #include "src/mem/memory_manager.h"
@@ -103,9 +103,9 @@ struct RuntimeConfig
 
     /**
      * Commit-path optimization switches (docs/COMMIT_PATH.md): the
-     * read/write-set filter ring, the redo-buffer hash index,
-     * timestamp extension, and group commit, each independently
-     * A/B-able. Applied to every session at registration.
+     * read/write-set filter ring, the redo-buffer hash index and
+     * timestamp extension, each independently A/B-able. Applied to
+     * every session at registration.
      */
     TmConfig commitPath;
 };

@@ -34,7 +34,6 @@
 #include <cstdint>
 
 #include "src/core/engine/globals.h"
-#include "src/core/engine/group_commit.h"
 
 namespace rhtm
 {
@@ -105,20 +104,11 @@ struct alignas(64) TmDomain
      */
     AdmissionGate *admission = nullptr;
 
-    /**
-     * The domain's group-commit arena (commit-path front 4). Always
-     * present -- it is inert until a session with
-     * TmConfig::groupCommit posts to it -- so the runtime can attach
-     * it unconditionally.
-     */
-    GroupCommitArena groupArena;
-
     /** Restore the coordination words; identity survives (test use). */
     void
     resetForTest()
     {
         globals.resetForTest();
-        groupArena.resetForTest();
     }
 
   private:

@@ -54,21 +54,11 @@ struct TmConfig
     bool tsExtension = true;
 
     /**
-     * Front 4: opt-in flat-combining group commit for slow-path lazy
-     * writers. One clock bump publishes several disjoint-write-set
-     * transactions; filter intersection (or a failed value check)
-     * rejects a member back to its solo commit. Off by default: it
-     * trades single-writer latency for clock-bump throughput, so the
-     * store/bench layers opt in explicitly.
-     */
-    bool groupCommit = false;
-
-    /**
      * Test hook: saturate every Bloom filter (all bits set), the
      * universal hash collision. Forces the filter-intersection path on
-     * every check (skips never taken, group members always rejected to
-     * solo) so the check matrix can pin the collision schedule
-     * deterministically (the filter-collision program).
+     * every check (skips never taken) so the check matrix can pin the
+     * collision schedule deterministically (the filter-collision
+     * program).
      */
     bool filterSaturateForTest = false;
 };

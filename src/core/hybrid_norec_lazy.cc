@@ -3,8 +3,6 @@
 #include <cassert>
 
 #include "src/core/engine/fault_points.h"
-#include "src/core/engine/group_commit.h"
-#include "src/util/backoff.h"
 
 namespace rhtm
 {
@@ -171,14 +169,6 @@ HybridNOrecLazySession::commit()
         core_.count(Counter::kReadOnlyCommits);
         return;
     }
-    // Front 4: eligible slow-path writers try the group arena first.
-    // Serial mode and irrevocable/clock-holding transactions stay
-    // solo, as do durable ones (the redo payload must seal under this
-    // thread's own lock hold).
-    if (!clockHeld_ && core_.mode == ExecMode::kSlow &&
-        commitCfg_.groupCommit && groupArena_ != nullptr &&
-        !core_.persistOn() && groupCommitPath())
-        return;
     if (!clockHeld_) {
         // Acquire the clock (revalidating on contention), then raise
         // the HTM lock only for the short write-back window: this is
@@ -226,105 +216,6 @@ HybridNOrecLazySession::commit()
     clockHeld_ = false;
     if (core_.persistOn())
         core_.persist->drainAndMark();
-}
-
-bool
-HybridNOrecLazySession::groupValidate(void *self)
-{
-    auto *s = static_cast<HybridNOrecLazySession *>(self);
-    return s->readLog_.consistent(EngineMem(s->core_.eng));
-}
-
-void
-HybridNOrecLazySession::groupPublish(void *self)
-{
-    auto *s = static_cast<HybridNOrecLazySession *>(self);
-    s->writes_.forEach([s](uint64_t *addr, uint64_t value) {
-        s->core_.eng.directStore(addr, value);
-    });
-}
-
-bool
-HybridNOrecLazySession::groupCommitPath()
-{
-    if (groupSlot_ == kGroupSlotUnset)
-        groupSlot_ = groupArena_->acquireSlot();
-    if (groupSlot_ < 0)
-        return false; // Arena full: this session commits solo forever.
-    unsigned slot = static_cast<unsigned>(groupSlot_);
-    // Combiner body: the caller holds the clock lock with no request
-    // of its own posted. Raise the HTM lock around the whole batch
-    // write-back so hardware fast paths subscribe-abort, just as in
-    // the solo publication window. No fault points in here: an unwind
-    // after a peer was published would look like a restart to us but
-    // a commit to the peer.
-    auto combinerPublish = [this] {
-        clockHeld_ = true;
-        core_.eng.directStore(&core_.g.htmLock, 1);
-        htmLockSet_ = true;
-        writes_.forEach([this](uint64_t *addr, uint64_t value) {
-            core_.eng.directStore(addr, value);
-        });
-        TxFilter batch = writes_.filter();
-        GroupCommitArena::CombineResult res = groupArena_->combine(batch);
-        if (res.joined > 0)
-            core_.count(Counter::kGroupCommitLeads);
-        core_.eng.directStore(&core_.g.htmLock, 0);
-        htmLockSet_ = false;
-        seqlock_.releaseAdvance(core_.txVersion,
-                                commitCfg_.readFilter
-                                    ? &core_.g.filterRing
-                                    : nullptr,
-                                batch);
-        clockHeld_ = false;
-    };
-    // Uncontended first try: the clock was free, so skip the arena
-    // round-trip entirely (no request copy, no slot CASes) -- solo
-    // commits must not pay for the batching they don't need.
-    if (seqlock_.tryAcquireAt(core_.txVersion)) {
-        combinerPublish();
-        return true;
-    }
-    GroupRequest req;
-    req.self = this;
-    req.validate = &groupValidate;
-    req.publish = &groupPublish;
-    req.readFilter = &readLog_.filter();
-    req.writeFilter = &writes_.filter();
-    groupArena_->post(slot, req);
-    Backoff backoff;
-    for (;;) {
-        if (seqlock_.tryAcquireAt(core_.txVersion)) {
-            groupArena_->withdrawOwn(slot);
-            combinerPublish();
-            return true;
-        }
-        uint32_t st = groupArena_->stateOf(slot);
-        if (st == GroupCommitArena::kCombined) {
-            groupArena_->reclaim(slot);
-            core_.count(Counter::kGroupCommitJoins);
-            return true;
-        }
-        if (st == GroupCommitArena::kRejected) {
-            groupArena_->reclaim(slot);
-            core_.count(Counter::kGroupCommitRejects);
-            return false; // Bounce to the solo commit path.
-        }
-        if (!clockIsLocked(core_.eng.directLoad(&core_.g.clock)) &&
-            groupArena_->tryWithdraw(slot)) {
-            // Slot is ours again, so unwinding is safe: poll the
-            // deadline and revalidate (either may throw), then repost
-            // at the fresh snapshot.
-            if (deadline_ != nullptr)
-                deadline_->poll();
-            core_.txVersion = validate();
-            groupArena_->post(slot, req);
-            continue;
-        }
-        // A combiner may be deciding our fate; no unwinding while it
-        // can still publish us.
-        backoff.pause();
-    }
 }
 
 void

@@ -67,10 +67,6 @@ enum class Counter : unsigned
     kRevalidations,         //!< Full value-log revalidations run.
     kRevalidationsSkipped,  //!< Revalidations skipped via the filter ring.
     kTsExtensions,          //!< Eager-path timestamp extensions taken.
-    kGroupCommitLeads,      //!< Group-commit batches led (clock bumps saved
-                            //!< equal the joins below).
-    kGroupCommitJoins,      //!< Commits published by another thread's bump.
-    kGroupCommitRejects,    //!< Group members bounced to a solo commit.
     kNumCounters
 };
 

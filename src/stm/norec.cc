@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "src/core/engine/deadline.h"
-#include "src/core/engine/group_commit.h"
 
 namespace rhtm
 {
@@ -451,14 +450,6 @@ NOrecLazySession::commit()
         }
         return;
     }
-    // Front 4: eligible writers first try the group arena; a combined
-    // member returns here fully published by someone else's bump.
-    // Durable transactions stay solo (the redo payload must seal under
-    // this thread's own lock hold), as do serialized/irrevocable ones
-    // (they already hold the clock).
-    if (!clockHeld_ && commitCfg_.groupCommit && groupArena_ != nullptr &&
-        persist_ == nullptr && groupCommitPath())
-        return;
     if (!clockHeld_) {
         txVersion_ = seqlock_.acquireValidating(
             txVersion_, [this] { return validate(); });
@@ -480,105 +471,6 @@ NOrecLazySession::commit()
     clockHeld_ = false;
     if (persist_ != nullptr)
         persist_->drainAndMark();
-}
-
-bool
-NOrecLazySession::groupValidate(void *self)
-{
-    // Combiner context: the clock lock is held, memory is quiescent
-    // (modulo the batch's own writes, which are the point).
-    auto *s = static_cast<NOrecLazySession *>(self);
-    return s->readLog_.consistent(s->mem_);
-}
-
-void
-NOrecLazySession::groupPublish(void *self)
-{
-    auto *s = static_cast<NOrecLazySession *>(self);
-    s->writes_.forEach([s](uint64_t *addr, uint64_t value) {
-        s->mem_.store(addr, value);
-    });
-}
-
-bool
-NOrecLazySession::groupCommitPath()
-{
-    if (groupSlot_ == kGroupSlotUnset)
-        groupSlot_ = groupArena_->acquireSlot();
-    if (groupSlot_ < 0)
-        return false; // Arena full: this session commits solo forever.
-    unsigned slot = static_cast<unsigned>(groupSlot_);
-    // Combiner body: the caller holds the clock lock with no request
-    // of its own posted. Write back, fold in pending peers (the
-    // arena's pending hint makes this one load when nobody waits),
-    // and publish the batch with a single advance.
-    auto combinerPublish = [this] {
-        clockHeld_ = true;
-        writes_.forEach([this](uint64_t *addr, uint64_t value) {
-            mem_.store(addr, value);
-        });
-        TxFilter batch = writes_.filter();
-        GroupCommitArena::CombineResult res = groupArena_->combine(batch);
-        if (stats_ && res.joined > 0)
-            stats_->inc(Counter::kGroupCommitLeads);
-        seqlock_.releaseAdvance(txVersion_,
-                                commitCfg_.readFilter ? &g_.filterRing
-                                                      : nullptr,
-                                batch);
-        clockHeld_ = false;
-    };
-    // Uncontended first try: the clock was free, so skip the arena
-    // round-trip entirely (no request copy, no slot CASes) -- solo
-    // commits must not pay for the batching they don't need.
-    if (seqlock_.tryAcquireAt(txVersion_)) {
-        combinerPublish();
-        return true;
-    }
-    GroupRequest req;
-    req.self = this;
-    req.validate = &groupValidate;
-    req.publish = &groupPublish;
-    req.readFilter = &readLog_.filter();
-    req.writeFilter = &writes_.filter();
-    groupArena_->post(slot, req);
-    for (;;) {
-        if (seqlock_.tryAcquireAt(txVersion_)) {
-            // We are the combiner: withdraw our request (we publish
-            // ourselves), write back, then fold in any pending peers.
-            groupArena_->withdrawOwn(slot);
-            combinerPublish();
-            return true;
-        }
-        uint32_t st = groupArena_->stateOf(slot);
-        if (st == GroupCommitArena::kCombined) {
-            groupArena_->reclaim(slot);
-            if (stats_)
-                stats_->inc(Counter::kGroupCommitJoins);
-            return true;
-        }
-        if (st == GroupCommitArena::kRejected) {
-            groupArena_->reclaim(slot);
-            if (stats_)
-                stats_->inc(Counter::kGroupCommitRejects);
-            return false; // Bounce to the solo commit path.
-        }
-        if (!clockIsLocked(mem_.load(&g_.clock)) &&
-            groupArena_->tryWithdraw(slot)) {
-            // The clock moved while unlocked (a combiner finished
-            // without us, or a solo writer committed). The slot is
-            // ours again, so unwinding is safe: poll the deadline and
-            // revalidate -- either may throw -- then repost at the
-            // fresh snapshot.
-            if (deadline_ != nullptr)
-                deadline_->poll();
-            txVersion_ = validate();
-            groupArena_->post(slot, req);
-            continue;
-        }
-        // Pending and claimed-or-locked: a combiner may be deciding
-        // our fate; we must not unwind while it can still publish us.
-        backoff_.pause();
-    }
 }
 
 void

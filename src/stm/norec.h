@@ -196,18 +196,6 @@ class NOrecLazySession : public TxSession
      */
     uint64_t validate();
 
-    /**
-     * Group-commit member/combiner path (commit-path front 4). Posts
-     * the write set to the arena and either becomes the combiner
-     * (publishing any pending peers under its single clock bump) or is
-     * published by one. Returns false if the commit should proceed
-     * solo (no slot, or this request was rejected).
-     */
-    bool groupCommitPath();
-
-    static bool groupValidate(void *self);
-    static void groupPublish(void *self);
-
     [[noreturn]] void restart();
 
     TmGlobals &g_;
@@ -225,11 +213,6 @@ class NOrecLazySession : public TxSession
     ValueReadLog readLog_;
     RedoBuffer writes_;
     TxPersist *persist_; //!< Durable-commit driver; null = off.
-    //! Arena slot id: kGroupSlotUnset until first needed, -1 when the
-    //! arena was full (session then always commits solo). Session
-    //! identity -- survives resetForTest on purpose.
-    static constexpr int kGroupSlotUnset = -2;
-    int groupSlot_ = kGroupSlotUnset;
 };
 
 } // namespace rhtm

@@ -30,6 +30,15 @@ CliOptions::has(const std::string &key) const
     return values_.count(key) != 0;
 }
 
+std::vector<std::string>
+CliOptions::keys() const
+{
+    std::vector<std::string> out;
+    for (const auto &kv : values_)
+        out.push_back(kv.first);
+    return out;
+}
+
 std::string
 CliOptions::getString(const std::string &key, const std::string &def) const
 {

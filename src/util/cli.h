@@ -17,9 +17,11 @@ namespace rhtm
 /**
  * Tiny --key=value option parser.
  *
- * Recognizes "--key=value" and bare "--flag" (stored as "1"). Unknown
- * keys are collected so drivers can reject typos. Far smaller than a
- * real flags library, but the benches need only a handful of knobs.
+ * Recognizes "--key=value" and bare "--flag" (stored as "1"). Tokens
+ * that are not flags land in errors(), and keys() lists every flag
+ * given, so binaries can reject typos and retired flags. Far smaller
+ * than a real flags library, but the benches need only a handful of
+ * knobs.
  */
 class CliOptions
 {
@@ -43,6 +45,9 @@ class CliOptions
     /** Comma-separated integer list of --key, or @p def when absent. */
     std::vector<int64_t> getIntList(const std::string &key,
                                     const std::vector<int64_t> &def) const;
+
+    /** Every --key given, sorted, each once. */
+    std::vector<std::string> keys() const;
 
     /** Tokens that did not look like --key[=value]. */
     const std::vector<std::string> &errors() const { return errors_; }

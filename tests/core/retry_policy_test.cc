@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/retry_policy.h"
+#include "src/core/engine/retry_policy.h"
 
 #include "src/api/runtime.h"
 

@@ -81,6 +81,12 @@ TEST(CliTest, NonOptionTokensAreErrors)
     EXPECT_EQ(opts.errors()[0], "stray");
 }
 
+TEST(CliTest, KeysListsEveryFlagOnce)
+{
+    auto opts = parse({"--seed=3", "--verbose", "stray", "--seed=4"});
+    EXPECT_EQ(opts.keys(), (std::vector<std::string>{"seed", "verbose"}));
+}
+
 TEST(CliTest, LastDuplicateWins)
 {
     auto opts = parse({"--n=1", "--n=2"});

@@ -5,7 +5,7 @@ Usage: tools/ab_microops.py [--bench=build/bench/bench_microops]
                             [--rounds=3] [--min-time=0.05]
                             [--band=0.35] [--out=BENCH_10.json]
 
-Runs the four commit-path campaign cells in bench_microops
+Runs the three commit-path campaign cells in bench_microops
 (docs/COMMIT_PATH.md) as ALTERNATING off/on rounds -- round 1 runs
 off then on, round 2 on then off, and so on -- so slow drift on the
 host (thermal, noisy neighbors) cannot systematically favor one
@@ -33,7 +33,6 @@ FRONTS = {
     "BM_ValidateAcrossCommits": "read-filter",
     "BM_ReadOwnWrites": "redo-index",
     "BM_ExtendAcrossCommits": "ts-extension",
-    "BM_GroupCommitWriters": "group-commit",
 }
 
 

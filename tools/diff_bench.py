@@ -4,16 +4,16 @@
 Usage: tools/diff_bench.py NEW.json [--baseline=OLD.json]
                            [--band=0.35] [--strict]
 
-Each PR in the sequence leaves a BENCH_<n>.json at the repo root; this
-tool keeps the sequence honest by comparing the new capture against
-the newest prior one. Without --baseline it picks the BENCH_*.json
-with the highest numeric suffix below the new capture's own (falling
-back to the newest by suffix that is not the new file itself).
-
+Captures accumulate as BENCH_<n>.json at the repo root, one bench
+family each (crash sweep, adversary sweep, store, microops-ab, ...).
 Two captures are only comparable when their top-level "bench" family
-matches; the sequence legitimately changes bench families between PRs
-(crash sweep, adversary sweep, ...), so an incomparable baseline is
-reported and exits 0 -- there is nothing to diff, not a regression.
+matches, so without --baseline this tool picks the newest prior
+capture of the NEW capture's family: the BENCH_*.json with the
+highest numeric suffix below the new capture's own (any suffix when
+the new file has none) whose "bench" field matches. When no capture
+of that family exists, or an explicit --baseline is of another
+family, it says so and exits 0 -- there is nothing to diff, not a
+regression.
 
 Comparable captures are joined cell-by-cell on their identity fields
 (every non-numeric field plus thread count). Shared numeric metrics
@@ -56,22 +56,24 @@ def cell_key(cell):
     return tuple(key)
 
 
-def pick_baseline(new_path):
-    """Newest BENCH_*.json (by numeric suffix) that is not new_path."""
+def pick_baseline(new_path, family):
+    """Newest prior BENCH_<n>.json whose bench family is `family`."""
     root = os.path.dirname(os.path.abspath(new_path)) or "."
     new_suffix = suffix_of(new_path)
-    best, best_n = None, -1
+    prior = []
     for cand in glob.glob(os.path.join(root, "BENCH_*.json")):
-        if os.path.abspath(cand) == os.path.abspath(new_path):
-            continue
         n = suffix_of(cand)
-        if n is None:
+        if n is None or (new_suffix is not None and n >= new_suffix):
             continue
-        if new_suffix is not None and n >= new_suffix:
+        prior.append((n, cand))
+    for _, cand in sorted(prior, reverse=True):
+        try:
+            with open(cand) as f:
+                if json.load(f).get("bench") == family:
+                    return cand
+        except (OSError, ValueError):
             continue
-        if n > best_n:
-            best, best_n = cand, n
-    return best
+    return None
 
 
 def suffix_of(path):
@@ -130,15 +132,14 @@ def main():
         print(__doc__.strip().splitlines()[2].strip())
         return 2
 
-    if baseline is None:
-        baseline = pick_baseline(new_path)
-    if baseline is None:
-        print(f"diff_bench: no prior BENCH_*.json to compare "
-              f"{new_path} against; nothing to diff")
-        return 0
-
     with open(new_path) as f:
         new = json.load(f)
+    if baseline is None:
+        baseline = pick_baseline(new_path, new.get("bench"))
+    if baseline is None:
+        print(f"diff_bench: no prior '{new.get('bench')}' capture to "
+              f"compare {new_path} against; nothing to diff")
+        return 0
     with open(baseline) as f:
         old = json.load(f)
 
