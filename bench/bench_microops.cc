@@ -2,7 +2,9 @@
  * @file
  * Google-benchmark microbenchmarks: single-threaded per-transaction
  * latency of each TM algorithm on three canonical bodies (counter
- * increment, 32-word read-only scan, red-black tree lookup). These
+ * increment, 32-word read-only scan, red-black tree lookup), plus the
+ * scan under the bench's random-abort calibration (the armed fault
+ * hook's per-access cost on the hardware fast paths). These
  * quantify the instrumentation-cost gap the paper attributes to
  * STM-vs-HTM paths (e.g. Genome's "very high instrumentation costs").
  *
@@ -58,6 +60,33 @@ BM_ReadOnlyScan(benchmark::State &state)
         benchmark::DoNotOptimize(sum);
     }
     state.SetLabel(algoKindName(kind));
+}
+
+/**
+ * The 32-word scan at the bench calibration (randomAbortProb = 5e-4,
+ * bench/harness.cc): every simulated access passes an armed fault
+ * hook, so this prices the hook per access on the hardware fast path.
+ */
+void
+BM_ReadOnlyScanCalibrated(benchmark::State &state)
+{
+    auto kind = static_cast<AlgoKind>(state.range(0));
+    RuntimeConfig cfg;
+    cfg.htm.randomAbortProb = 5e-4;
+    TmRuntime rt(kind, cfg);
+    ThreadCtx &ctx = rt.registerThread();
+    alignas(64) uint64_t words[32] = {};
+    for (auto _ : state) {
+        uint64_t sum = 0;
+        rt.run(ctx,
+               [&](Txn &tx) {
+                   for (auto &w : words)
+                       sum += tx.load(&w);
+               },
+               TxnHint::kReadOnly);
+        benchmark::DoNotOptimize(sum);
+    }
+    state.SetLabel(std::string(algoKindName(kind)) + "/p=5e-4");
 }
 
 void
@@ -236,6 +265,9 @@ BM_ExtendAcrossCommits(benchmark::State &state)
 BENCHMARK(BM_Increment)->Apply(addAllAlgos);
 BENCHMARK(BM_ReadOnlyScan)->Apply(addAllAlgos);
 BENCHMARK(BM_RbTreeGet)->Apply(addAllAlgos);
+BENCHMARK(BM_ReadOnlyScanCalibrated)
+    ->Arg(static_cast<int>(AlgoKind::kRhNOrec))
+    ->Arg(static_cast<int>(AlgoKind::kHybridNOrec));
 
 BENCHMARK(BM_ReadOwnWrites)
     ->ArgNames({"algo", "on"})

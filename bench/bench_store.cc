@@ -17,8 +17,9 @@
  *     cross-shard RMWs) must pass the strict-serializability checker.
  *  3. Saturation leg: disjoint-key workloads (no logical conflicts) at
  *     the highest requested thread count, 1 shard vs the maximum
- *     requested shard count -- the multi-domain design must scale:
- *     more shards must not be slower.
+ *     requested shard count, in 3 alternating repetitions each -- the
+ *     multi-domain design must scale: the median with more shards
+ *     must not be slower.
  *
  * Usage: bench_store [--threads=1,8] [--shards=1,4] [--algos=all]
  *                    [--ops=2000] [--keys=8192] [--zipf=0.8]
@@ -482,6 +483,20 @@ runSaturationCell(AlgoKind algo, unsigned shards, unsigned threads,
     return c;
 }
 
+/** Repetitions of each saturation cell; their medians are compared. */
+constexpr unsigned kSaturationReps = 3;
+
+/** The cell with the median throughput of @p cells (odd count). */
+Cell
+medianCell(std::vector<Cell> cells)
+{
+    std::sort(cells.begin(), cells.end(),
+              [](const Cell &a, const Cell &b) {
+                  return a.throughput < b.throughput;
+              });
+    return cells[cells.size() / 2];
+}
+
 std::vector<std::string>
 splitList(const std::string &s)
 {
@@ -686,14 +701,38 @@ benchMain(int argc, char **argv)
                         "scaling invariant reported, not enforced\n",
                         hw);
         for (AlgoKind algo : cfg.algos) {
-            Cell base =
-                runSaturationCell(algo, minShards, maxThreads, cfg);
+            if (maxShards == minShards) {
+                Cell base =
+                    runSaturationCell(algo, minShards, maxThreads, cfg);
+                printCell(base);
+                cells.push_back(base);
+                continue;
+            }
+            // Alternate the two shard counts over a few repetitions and
+            // compare medians, so one cell disturbed by the host cannot
+            // decide the comparison on its own.
+            std::vector<Cell> bases, wides;
+            for (unsigned rep = 0; rep < kSaturationReps; ++rep) {
+                const bool wideFirst = rep % 2 == 1;
+                if (wideFirst)
+                    wides.push_back(runSaturationCell(algo, maxShards,
+                                                      maxThreads, cfg));
+                bases.push_back(
+                    runSaturationCell(algo, minShards, maxThreads, cfg));
+                if (!wideFirst)
+                    wides.push_back(runSaturationCell(algo, maxShards,
+                                                      maxThreads, cfg));
+            }
+            std::printf("# saturation %s ops/s:", algoKindName(algo));
+            for (unsigned rep = 0; rep < kSaturationReps; ++rep)
+                std::printf(" %u shard(s) %.0f / %u shard(s) %.0f;",
+                            minShards, bases[rep].throughput, maxShards,
+                            wides[rep].throughput);
+            std::printf("\n");
+            Cell base = medianCell(bases);
             printCell(base);
             cells.push_back(base);
-            if (maxShards == minShards)
-                continue;
-            Cell wide =
-                runSaturationCell(algo, maxShards, maxThreads, cfg);
+            Cell wide = medianCell(wides);
             // The acceptance invariant (>= 4 shards beats 1 shard at
             // >= 8 threads) only binds where sharding can win.
             if (enforce && minShards == 1 && maxShards >= 4 &&

@@ -105,9 +105,9 @@ class UndoJournal
  * summary (front 1) pre-filters lookups -- the common read of an
  * unwritten address answers "miss" from one resident cache line --
  * and doubles as the write filter committers publish to the
- * CommitFilterRing. (The simulated HTM keeps using the fixed-capacity
+ * CommitFilterRing. (The simulated HTM keeps using the bounded
  * WriteBuffer in src/htm/fixed_table.h: hardware write sets are
- * capacity-bounded; this one grows.)
+ * capacity-bounded; this one grows without bound.)
  */
 class RedoBuffer
 {

@@ -15,6 +15,12 @@
  * injector's private RNG) -- never of wall-clock time or cross-thread
  * state -- so a fixed seed and a fixed per-thread operation sequence
  * replay the identical fault schedule. See docs/FAULT_INJECTION.md.
+ *
+ * Cost: each rule keeps the hit index of its next firing, drawn ahead
+ * of time (a probabilistic rule skips a Geometric(p) number of
+ * positional matches), and each site keeps the earliest of its rules'
+ * indices. A hit is then one inlined increment and compare; the rule
+ * walk and the RNG run only on a due hit.
  */
 
 #ifndef RHTM_FAULT_FAULT_INJECTOR_H
@@ -189,7 +195,15 @@ class FaultInjector
      * abort kinds are executed by the caller (HtmTxn/session), which
      * owns the unwind and the statistics.
      */
-    FaultKind fire(FaultSite site, uint32_t *delay_spins = nullptr);
+    FaultKind
+    fire(FaultSite site, uint32_t *delay_spins = nullptr)
+    {
+        SiteState &s = sites_[static_cast<unsigned>(site)];
+        const uint64_t hit = ++s.hits;
+        if (hit < s.due)
+            return FaultKind::kNone;
+        return fireDue(site, hit, delay_spins);
+    }
 
     /** Effective read capacity given the active squeeze (if any). */
     size_t
@@ -211,8 +225,7 @@ class FaultInjector
     bool
     squeezeActive() const
     {
-        return hits_[static_cast<unsigned>(FaultSite::kHtmBegin)] <
-                   squeezeUntil_ &&
+        return hits(FaultSite::kHtmBegin) < squeezeUntil_ &&
                squeezeUntil_ != 0;
     }
 
@@ -220,7 +233,7 @@ class FaultInjector
     uint64_t
     hits(FaultSite site) const
     {
-        return hits_[static_cast<unsigned>(site)];
+        return sites_[static_cast<unsigned>(site)].hits;
     }
 
     /** Times a fault actually fired at @p site. */
@@ -249,18 +262,43 @@ class FaultInjector
     void resetForTest();
 
   private:
+    /** Hit index that never comes: an unarmed site or spent rule. */
+    static constexpr uint64_t kNever = ~uint64_t(0);
+
     struct RuleState
     {
         FaultRule rule;
         uint64_t fired = 0;
+        uint64_t next = kNever; //!< Hit index of the next firing.
+        uint64_t threshold = 0; //!< Bernoulli cut: floor(p * 2^64).
+        double logMiss = 0.0;   //!< log(1 - p), for geometric gaps.
     };
+
+    struct SiteState
+    {
+        uint64_t hits = 0;
+        uint64_t due = kNever; //!< Earliest `next` of the site's rules.
+    };
+
+    /** Out-of-line part of fire(): the hit is due for some rule. */
+    FaultKind fireDue(FaultSite site, uint64_t hit,
+                      uint32_t *delay_spins);
+
+    /** Draw @p rs's next firing at a hit index >= @p from. */
+    uint64_t drawNext(const RuleState &rs, uint64_t from);
+
+    /** Draw every rule's first firing and derive the site dues. */
+    void arm();
+
+    /** Recompute sites_[site].due from its rules. */
+    void refreshDue(unsigned site);
 
     unsigned tid_;
     uint64_t seed_; //!< Plan base seed, kept for resetForTest.
     Rng rng_;
     bool recordTrace_;
     std::vector<RuleState> rules_;
-    std::array<uint64_t, kNumFaultSites> hits_{};
+    std::array<SiteState, kNumFaultSites> sites_{};
     std::array<uint64_t, kNumFaultSites> fires_{};
     uint64_t totalFires_ = 0;
 

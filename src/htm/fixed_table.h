@@ -1,16 +1,20 @@
 /**
  * @file
- * Fixed-capacity open-addressing hash containers with O(1) clear.
+ * Bounded open-addressing hash containers with O(1) clear.
  *
  * The simulated HTM's read/write tracking sets are bounded by the
- * capacity model, so fixed tables with stamped slots (clear = bump the
- * stamp) keep per-transaction bookkeeping allocation-free and cheap to
- * reset, the way hardware tracking sets are.
+ * capacity model, so tables with stamped slots (clear = bump the
+ * stamp) keep per-transaction bookkeeping cheap to reset, the way
+ * hardware tracking sets are. A table starts small and doubles at 3/4
+ * load up to its bound, so a thread touches only as many slots as its
+ * largest transaction needed: probes stay in a few resident cache
+ * lines, and once grown the table allocates nothing more.
  */
 
 #ifndef RHTM_HTM_FIXED_TABLE_H
 #define RHTM_HTM_FIXED_TABLE_H
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -27,21 +31,38 @@ mixHash(uint64_t key)
     return key;
 }
 
+/** Slots a table starts with (its bound, if that is smaller). */
+constexpr size_t kTableInitialSlots = 64;
+
 /**
- * Fixed-capacity set of uint64_t keys (key 0 allowed).
+ * log2 of the smallest power-of-two slot count that holds @p keys
+ * under the 3/4 load cap, i.e. >= keys * 4/3 (at least 4 slots).
+ */
+inline unsigned
+tableBoundLog2(size_t keys)
+{
+    unsigned log2 = 2;
+    while (log2 < 48 && (size_t(1) << log2) / 4 * 3 < keys)
+        ++log2;
+    return log2;
+}
+
+/**
+ * Bounded set of uint64_t keys (key 0 allowed).
  *
- * insert() returns whether the key was newly added, or false via
- * @p full when the table has no room left -- the caller treats that as
- * a capacity overflow.
+ * insert() reports through @p inserted whether the key was newly
+ * added, and returns false when the table is at 3/4 of its bound --
+ * the caller treats that as a capacity overflow.
  */
 class FixedHashSet
 {
   public:
-    /** @param slots_log2 log2 of the slot count. */
-    explicit FixedHashSet(unsigned slots_log2)
-        : mask_((size_t(1) << slots_log2) - 1),
-          slots_(size_t(1) << slots_log2), stamp_(1), size_(0)
-    {}
+    /** @param bound_log2 log2 of the largest slot count. */
+    explicit FixedHashSet(unsigned bound_log2)
+        : bound_(size_t(1) << bound_log2), stamp_(1), size_(0)
+    {
+        resize(std::min(bound_, kTableInitialSlots));
+    }
 
     /**
      * Insert @p key.
@@ -54,9 +75,12 @@ class FixedHashSet
     insert(uint64_t key, bool &inserted)
     {
         // Cap the probe chain (and load factor) at 3/4 of the table.
-        if (size_ >= (mask_ + 1) / 4 * 3) {
-            inserted = false;
-            return contains(key);
+        if (size_ >= limit_) {
+            if (slots_.size() >= bound_) {
+                inserted = false;
+                return contains(key);
+            }
+            grow();
         }
         size_t idx = mixHash(key) & mask_;
         for (;;) {
@@ -94,7 +118,10 @@ class FixedHashSet
     /** Number of keys currently stored. */
     size_t size() const { return size_; }
 
-    /** Forget all keys in O(1). */
+    /** Slots allocated so far (grows by doubling up to the bound). */
+    size_t slotCount() const { return slots_.size(); }
+
+    /** Forget all keys in O(1); the table keeps its grown size. */
     void
     clear()
     {
@@ -109,26 +136,50 @@ class FixedHashSet
         uint64_t stamp = 0;
     };
 
-    size_t mask_;
+    void
+    resize(size_t slots)
+    {
+        slots_.assign(slots, Slot{});
+        mask_ = slots - 1;
+        limit_ = slots / 4 * 3;
+    }
+
+    /** Double the slot count, rehashing the live keys. */
+    void
+    grow()
+    {
+        std::vector<Slot> old;
+        old.swap(slots_);
+        resize(old.size() * 2);
+        size_ = 0;
+        bool inserted = false;
+        for (const Slot &s : old) {
+            if (s.stamp == stamp_)
+                insert(s.key, inserted);
+        }
+    }
+
+    size_t bound_;
+    size_t mask_ = 0;
+    size_t limit_ = 0;
     std::vector<Slot> slots_;
     uint64_t stamp_;
     size_t size_;
 };
 
 /**
- * Fixed-capacity map from word address to buffered value, preserving a
- * way to iterate the live entries (publication order is irrelevant, but
+ * Bounded map from word address to buffered value, preserving a way to
+ * iterate the live entries (publication order is irrelevant, but
  * commit must visit each buffered word once).
  */
 class WriteBuffer
 {
   public:
-    /** @param slots_log2 log2 of the slot count. */
-    explicit WriteBuffer(unsigned slots_log2)
-        : mask_((size_t(1) << slots_log2) - 1),
-          slots_(size_t(1) << slots_log2), stamp_(1)
+    /** @param bound_log2 log2 of the largest slot count. */
+    explicit WriteBuffer(unsigned bound_log2)
+        : bound_(size_t(1) << bound_log2), stamp_(1)
     {
-        order_.reserve(1024);
+        resize(std::min(bound_, kTableInitialSlots));
     }
 
     /**
@@ -138,8 +189,11 @@ class WriteBuffer
     bool
     put(uint64_t *addr, uint64_t value)
     {
-        if (order_.size() >= (mask_ + 1) / 4 * 3)
-            return false;
+        if (order_.size() >= limit_) {
+            if (slots_.size() >= bound_)
+                return false;
+            grow();
+        }
         size_t idx = mixHash(reinterpret_cast<uint64_t>(addr)) & mask_;
         for (;;) {
             Slot &s = slots_[idx];
@@ -184,7 +238,10 @@ class WriteBuffer
     /** True when nothing is buffered. */
     bool empty() const { return order_.empty(); }
 
-    /** Visit each buffered (addr, value) pair once. */
+    /** Slots allocated so far (grows by doubling up to the bound). */
+    size_t slotCount() const { return slots_.size(); }
+
+    /** Visit each buffered (addr, value) pair once, in put order. */
     template <typename Fn>
     void
     forEach(Fn fn) const
@@ -195,7 +252,7 @@ class WriteBuffer
         }
     }
 
-    /** Discard all buffered writes in O(live entries). */
+    /** Discard all buffered writes; the table keeps its grown size. */
     void
     clear()
     {
@@ -203,31 +260,7 @@ class WriteBuffer
         order_.clear();
     }
 
-    /**
-     * put() that doubles the table instead of failing; for software
-     * write sets, which have no hardware capacity bound.
-     */
-    void
-    putGrowing(uint64_t *addr, uint64_t value)
-    {
-        while (!put(addr, value))
-            grow();
-    }
-
   private:
-    /** Double the slot count, rehashing the live entries. */
-    void
-    grow()
-    {
-        WriteBuffer bigger(
-            static_cast<unsigned>(64 - __builtin_clzll(mask_)) + 1);
-        forEach([&](uint64_t *a, uint64_t v) { bigger.put(a, v); });
-        mask_ = bigger.mask_;
-        slots_ = std::move(bigger.slots_);
-        stamp_ = bigger.stamp_;
-        order_ = std::move(bigger.order_);
-    }
-
     struct Slot
     {
         uint64_t *addr = nullptr;
@@ -235,7 +268,31 @@ class WriteBuffer
         uint64_t stamp = 0;
     };
 
-    size_t mask_;
+    void
+    resize(size_t slots)
+    {
+        slots_.assign(slots, Slot{});
+        mask_ = slots - 1;
+        limit_ = slots / 4 * 3;
+        order_.reserve(limit_);
+    }
+
+    /** Double the slot count, re-putting the live entries in order. */
+    void
+    grow()
+    {
+        std::vector<Slot> old;
+        old.swap(slots_);
+        std::vector<uint32_t> order;
+        order.swap(order_);
+        resize(old.size() * 2);
+        for (uint32_t idx : order)
+            put(old[idx].addr, old[idx].value);
+    }
+
+    size_t bound_;
+    size_t mask_ = 0;
+    size_t limit_ = 0;
     std::vector<Slot> slots_;
     uint64_t stamp_;
     std::vector<uint32_t> order_;

@@ -1,7 +1,6 @@
 #include "src/htm/htm_txn.h"
 
 #include <cassert>
-#include <cmath>
 
 #include "src/util/sched_point.h"
 
@@ -22,23 +21,36 @@ htmAbortCauseName(HtmAbortCause cause)
     return "unknown";
 }
 
+namespace
+{
+
+/** @p lines after the HyperThreading capacity model for @p tid. */
+size_t
+threadCap(const HtmConfig &cfg, unsigned tid, size_t lines)
+{
+    return tid >= cfg.scaledThreadsFrom && cfg.capacityScale > 1
+        ? lines / cfg.capacityScale
+        : lines;
+}
+
+} // namespace
+
 HtmTxn::HtmTxn(HtmEngine &eng, unsigned tid, ThreadStats *stats,
                uint64_t rng_seed, FaultInjector *fault)
-    : eng_(eng), stats_(stats), fault_(fault), readCap_(0), writeCap_(0),
-      effReadCap_(0), effWriteCap_(0), active_(false), lastSeq_(0),
-      readLines_(14),   // 16 Ki slots >= 4096-line read capacity
-      writes_(14),      // 16 Ki word slots >= 448 lines * 8 words
-      writeLines_(12)
+    : eng_(eng), stats_(stats), fault_(fault),
+      readCap_(threadCap(eng.config(), tid, eng.config().readCapacityLines)),
+      writeCap_(
+          threadCap(eng.config(), tid, eng.config().writeCapacityLines)),
+      effReadCap_(readCap_), effWriteCap_(writeCap_), active_(false),
+      lastSeq_(0),
+      // Each table's bound holds its whole capacity (squeezes only
+      // lower it), so capacity aborts come from the caps, not the
+      // tables. A written line holds 8 words.
+      readLines_(tableBoundLog2(readCap_)),
+      writes_(tableBoundLog2(writeCap_) + (HtmEngine::kLineShift - 3)),
+      writeLines_(tableBoundLog2(writeCap_))
 {
     const HtmConfig &cfg = eng.config();
-    readCap_ = cfg.readCapacityLines;
-    writeCap_ = cfg.writeCapacityLines;
-    if (tid >= cfg.scaledThreadsFrom && cfg.capacityScale > 1) {
-        readCap_ /= cfg.capacityScale;
-        writeCap_ /= cfg.capacityScale;
-    }
-    effReadCap_ = readCap_;
-    effWriteCap_ = writeCap_;
     if (fault_ == nullptr && cfg.randomAbortProb > 0.0) {
         // Legacy knob: express the blunt per-access probability as a
         // fault plan on the access sites (same distribution the old
@@ -99,12 +111,9 @@ HtmTxn::fail(HtmAbortCause cause, bool retry_ok, uint8_t code,
 }
 
 void
-HtmTxn::faultPoint(FaultSite site)
+HtmTxn::applyFault(FaultKind kind, uint32_t spins)
 {
-    if (fault_ == nullptr)
-        return;
-    uint32_t spins = 0;
-    switch (fault_->fire(site, &spins)) {
+    switch (kind) {
       case FaultKind::kNone:
       case FaultKind::kCapacitySqueeze:
         return;
@@ -152,7 +161,7 @@ HtmTxn::read(const uint64_t *addr)
     faultPoint(FaultSite::kTxRead);
 
     uint64_t buffered;
-    if (writes_.lookup(addr, buffered))
+    if (!writes_.empty() && writes_.lookup(addr, buffered))
         return buffered;
 
     const size_t stripe = eng_.stripeOf(addr);

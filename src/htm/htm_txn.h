@@ -145,8 +145,23 @@ class HtmTxn
     [[noreturn]] void fail(HtmAbortCause cause, bool retry_ok,
                            uint8_t code = 0, bool injected = false);
 
-    /** Hit @p site on the injector and act on the scripted fault. */
-    void faultPoint(FaultSite site);
+    /**
+     * Hit @p site on the injector and act on the scripted fault. Inline:
+     * the hit is one increment and compare until a rule is due.
+     */
+    void
+    faultPoint(FaultSite site)
+    {
+        if (fault_ == nullptr)
+            return;
+        uint32_t spins = 0;
+        const FaultKind kind = fault_->fire(site, &spins);
+        if (kind != FaultKind::kNone)
+            applyFault(kind, spins);
+    }
+
+    /** Act on a fault the injector fired (delay, yield or abort). */
+    void applyFault(FaultKind kind, uint32_t spins);
 
     /** Reset tracking state to idle. */
     void resetState();

@@ -330,6 +330,31 @@ TEST(HtmCapacityTest, HyperThreadScalingHalvesCapacity)
     EXPECT_EQ(lines_before_abort(4), 4u);
 }
 
+TEST(HtmCapacityTest, TablesHoldCapacitiesAboveTheirOldFixedSizes)
+{
+    // Tracking tables are bounded by the configured caps, so caps
+    // above 12288 read lines / 3072 written lines are reachable.
+    HtmConfig cfg;
+    cfg.readCapacityLines = 16384;
+    cfg.writeCapacityLines = 4096;
+    HtmEngine eng(cfg);
+    ThreadStats stats;
+    HtmTxn tx(eng, 0, &stats);
+
+    constexpr size_t kWordsPerLine = 8;
+    std::vector<uint64_t> arr(16000 * kWordsPerLine, 0);
+    tx.begin();
+    for (size_t line = 0; line < 16000; ++line)
+        tx.read(&arr[line * kWordsPerLine]);
+    for (size_t line = 0; line < 4000; ++line)
+        tx.write(&arr[line * kWordsPerLine + 1], line + 1);
+    EXPECT_EQ(tx.readLines(), 16000u);
+    EXPECT_EQ(tx.writeLines(), 4000u);
+    tx.commit();
+    EXPECT_EQ(stats.get(Counter::kHtmCapacityAborts), 0u);
+    EXPECT_EQ(eng.directLoad(&arr[3999 * kWordsPerLine + 1]), 4000u);
+}
+
 TEST(HtmInjectionTest, ProbabilityOneAlwaysAborts)
 {
     HtmConfig cfg;

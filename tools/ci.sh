@@ -126,8 +126,12 @@ echo "== store: saturation sweep, 1 shard vs 4 shards =="
 # Disjoint-key scaling cells. On hosts with >= 4 hardware threads the
 # binary enforces that 4 shards out-throughput 1 shard at 8 worker
 # threads; on smaller hosts it reports the cells without enforcing.
+# Each shard count runs 3 alternating times and the medians are
+# compared; 250000 ops per thread makes each cell last >= 200 ms on a
+# 4-vCPU host (tl2, the fastest, runs ~8 M ops/s), long enough that
+# host noise does not decide it.
 build/bench/bench_store --threads=1,8 --shards=1,4 \
-    --algos=rh-norec,norec,tl2 --ops=2000 --check=off --seed=1
+    --algos=rh-norec,norec,tl2 --ops=250000 --check=off --seed=1
 
 echo "== crash-recovery: 3-seed sweep, every AlgoKind x site =="
 for seed in 1 2 3; do
