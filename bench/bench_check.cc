@@ -13,7 +13,7 @@
  *               [--no-sleep-sets] [--replay=TOKEN] [--history]
  *               [--regression=first-try-budget|kill-switch-streak|
  *                            policy-snapshot|deadline-unwind|
- *                            ts-extension|filter-collision] [--revert]
+ *                            ts-extension] [--revert]
  */
 
 #include <chrono>
@@ -126,8 +126,6 @@ main(int argc, char **argv)
             programs.push_back(makeDeadlineUnwindProgram(revert));
         else if (regression == "ts-extension")
             programs.push_back(makeTsExtensionProgram(revert));
-        else if (regression == "filter-collision")
-            programs.push_back(makeFilterCollisionProgram());
         else {
             std::fprintf(stderr, "unknown regression '%s'\n",
                          regression.c_str());

@@ -37,8 +37,7 @@ parseBenchConfig(const CliOptions &opts,
     static const char *const kCommonKeys[] = {
         "threads", "seconds", "seed", "no-verify", "ht-from", "ht-scale",
         "abort-prob", "stm-penalty", "stall-budget", "irrevocable-pct",
-        "cm", "read-filter", "redo-index", "ts-extension",
-        "fault-schedule", "algos"};
+        "cm", "fault-schedule", "algos"};
     BenchConfig cfg;
     if (!opts.errors().empty()) {
         std::fprintf(stderr, "unrecognized argument: %s\n",
@@ -94,26 +93,6 @@ parseBenchConfig(const CliOptions &opts,
             std::exit(2);
         }
     }
-
-    // Commit-path switches (docs/COMMIT_PATH.md): every front
-    // defaults on; each flag overrides its default for A/B runs.
-    auto onOff = [&opts](const char *flag, bool &out) {
-        if (!opts.has(flag))
-            return;
-        std::string v = opts.getString(flag, "");
-        if (v == "on") {
-            out = true;
-        } else if (v == "off") {
-            out = false;
-        } else {
-            std::fprintf(stderr, "--%s must be on|off (got '%s')\n",
-                         flag, v.c_str());
-            std::exit(2);
-        }
-    };
-    onOff("read-filter", cfg.runtime.commitPath.readFilter);
-    onOff("redo-index", cfg.runtime.commitPath.redoIndex);
-    onOff("ts-extension", cfg.runtime.commitPath.tsExtension);
 
     if (opts.has("fault-schedule")) {
         std::string name = opts.getString("fault-schedule", "");

@@ -62,9 +62,6 @@ struct BenchConfig
  *                               backoff vs cause-keyed randomized)
  *   --irrevocable-pct=N        (percent of ops upgraded to
  *                               irrevocability, workloads permitting)
- *   --read-filter=on|off --redo-index=on|off --ts-extension=on|off
- *                              (commit-path switches, docs/COMMIT_PATH.md;
- *                               all default on)
  * plus the binary's own @p extraKeys. Exits 2 with a message on any
  * other flag, an unknown algorithm, or a stray argument.
  */

@@ -136,7 +136,6 @@ TmRuntime::registerThread()
             nvm_.get(), ctx->fault_.get(), &ctx->stats_, ctx->tid());
     }
     ctx->session_ = makeSession(*ctx);
-    ctx->session_->configureCommitPath(cfg_.commitPath);
     ctx->deadline_.attachInjector(ctx->fault_.get());
     ctx->session_->attachDeadline(&ctx->deadline_);
     ctxs_.push_back(std::move(ctx));

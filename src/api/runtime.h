@@ -22,7 +22,6 @@
 #include "src/core/engine/globals.h"
 #include "src/core/engine/retry_policy.h"
 #include "src/core/engine/session.h"
-#include "src/core/engine/tm_config.h"
 #include "src/fault/fault_injector.h"
 #include "src/htm/htm_txn.h"
 #include "src/mem/memory_manager.h"
@@ -100,14 +99,6 @@ struct RuntimeConfig
      * its uninstrumented hardware fast path does not. 0 disables.
      */
     unsigned stmAccessPenalty = 64;
-
-    /**
-     * Commit-path optimization switches (docs/COMMIT_PATH.md): the
-     * read/write-set filter ring, the redo-buffer hash index and
-     * timestamp extension, each independently A/B-able. Applied to
-     * every session at registration.
-     */
-    TmConfig commitPath;
 };
 
 class TmRuntime;

@@ -190,17 +190,29 @@ applyAttempt(const Attempt &attempt, VarState &state)
 
 /**
  * Enumerates every valid serialization of the committed transactions
- * via DFS with real-time-edge pruning. The visitor is called once per
- * complete valid order with the per-step var states; returning false
- * stops the enumeration early.
+ * via DFS with real-time-edge pruning and dead-end pruning. The
+ * visitor is called once per complete valid order with the per-step
+ * var states; returning false stops the enumeration early.
  */
 class SerializationSearch
 {
   public:
     SerializationSearch(const std::vector<const TxnRec *> &committed,
                         const std::vector<uint64_t> &init)
-        : committed_(committed), init_(init)
-    {}
+        : committed_(committed), init_(init), reads_(committed.size())
+    {
+        for (size_t i = 0; i < committed_.size(); ++i) {
+            std::map<unsigned, uint64_t> written;
+            for (const AccessOp &op : committed_[i]->attempts.back().ops) {
+                if (op.isWrite)
+                    written[op.var] = op.value;
+                else if (written.count(op.var) == 0)
+                    reads_[i].emplace_back(op.var, op.value);
+            }
+            for (const auto &[var, value] : written)
+                writers_[{var, value}].push_back(i);
+        }
+    }
 
     /**
      * @param visit Called with (order as indices into committed_,
@@ -233,6 +245,8 @@ class SerializationSearch
             ++found_;
             return visit(order_, states_);
         }
+        if (!stillFeasible())
+            return true; // No complete order below: nothing to visit.
         for (size_t i = 0; i < committed_.size(); ++i) {
             if (scheduled_[i])
                 continue;
@@ -255,6 +269,35 @@ class SerializationSearch
         return true;
     }
 
+    /**
+     * Can every unplaced txn's reads still replay? A read of (var,
+     * value) needs var to hold value now or another unplaced txn that
+     * writes value to it last. Without this test a writer placed ahead
+     * of a reader of the value it overwrites is found out only after
+     * every order of the remaining txns has been tried.
+     */
+    bool
+    stillFeasible() const
+    {
+        const VarState &state = states_.back();
+        for (size_t i = 0; i < committed_.size(); ++i) {
+            if (scheduled_[i])
+                continue;
+            for (const auto &[var, value] : reads_[i]) {
+                if (state.get(var) == value)
+                    continue;
+                auto it = writers_.find({var, value});
+                if (it == writers_.end() ||
+                    std::none_of(it->second.begin(), it->second.end(),
+                                 [&](size_t j) {
+                                     return j != i && !scheduled_[j];
+                                 }))
+                    return false;
+            }
+        }
+        return true;
+    }
+
     /** All real-time predecessors of committed_[i] already placed? */
     bool
     realTimeReady(size_t i) const
@@ -272,6 +315,10 @@ class SerializationSearch
 
     const std::vector<const TxnRec *> &committed_;
     const std::vector<uint64_t> &init_;
+    //! Per txn: the reads its own earlier writes do not shadow.
+    std::vector<std::vector<std::pair<unsigned, uint64_t>>> reads_;
+    //! (var, value) -> txns whose last write to var stores value.
+    std::map<std::pair<unsigned, uint64_t>, std::vector<size_t>> writers_;
     std::vector<bool> scheduled_;
     std::vector<size_t> order_;
     std::vector<VarState> states_;

@@ -125,11 +125,9 @@ curatedPrograms()
     out.push_back(prefixRace());
     out.push_back(postfixRace());
     out.push_back(irrevocableUpgrade());
-    // Commit-path campaign programs, fix in place: the extension
-    // zombie workload and the saturated-filter pathology run under
-    // every kind in the matrix.
+    // The extension zombie workload, fix in place, runs under every
+    // kind in the matrix.
     out.push_back(makeTsExtensionProgram(false));
-    out.push_back(makeFilterCollisionProgram());
     return out;
 }
 
@@ -365,9 +363,9 @@ makeTsExtensionProgram(bool reverted)
     // against the mid-writeback image, adopts the LOCKED clock, and
     // returns var1==1; its read-only commit then records the
     // impossible {0,1}. The fixed extension blocks on the lock, sees
-    // var0 overwritten, and restarts. Read filter off so extension
-    // always takes the value path; hardware begins scripted dead so
-    // the hybrids run the same software phase (a no-op for pure STM).
+    // var0 overwritten, and restarts. Hardware begins scripted dead
+    // so the hybrids run the same software phase (a no-op for pure
+    // STM).
     CheckProgram p;
     p.name = "ts-extend-zombie";
     p.vars = 2;
@@ -377,8 +375,6 @@ makeTsExtensionProgram(bool reverted)
         ThreadSpec{{TxnSpec{{rd(0), rd(1)}}}},
     };
     p.configure = [reverted](RuntimeConfig &cfg) {
-        cfg.commitPath.tsExtension = true;
-        cfg.commitPath.readFilter = false;
         cfg.retry.revertTsExtensionFix = reverted;
         cfg.retry.maxFastPathRetries = 0;
         FaultRule hw;
@@ -387,42 +383,6 @@ makeTsExtensionProgram(bool reverted)
         hw.firstHit = 1;
         hw.period = 1;
         cfg.fault.add(hw);
-    };
-    return p;
-}
-
-CheckProgram
-makeFilterCollisionProgram()
-{
-    // Disjoint writers on var0/var1 race a spanning reader while every
-    // Bloom summary is saturated (the universal collision): all
-    // published write sets intersect all read summaries, so the
-    // disjointness skip must never fire and every clock bump must take
-    // the conservative full revalidation -- which has to keep
-    // committing the workload correctly (the history checker verifies
-    // the values; the invariant verifies no skip was taken).
-    CheckProgram p;
-    p.name = "filter-collision";
-    p.vars = 3;
-    p.init = {0, 0, 0};
-    p.threads = {
-        ThreadSpec{{TxnSpec{{wr(0, 1)}}, TxnSpec{{add(0, 1)}}}},
-        ThreadSpec{{TxnSpec{{wr(1, 1)}}, TxnSpec{{add(1, 1)}}}},
-        ThreadSpec{{TxnSpec{{rd(0), rd(1), rd(2)}}}},
-    };
-    p.configure = [](RuntimeConfig &cfg) {
-        cfg.commitPath.readFilter = true;
-        cfg.commitPath.filterSaturateForTest = true;
-    };
-    p.invariant = [](TmRuntime &rt, std::string *why) {
-        uint64_t skipped =
-            rt.stats().get(Counter::kRevalidationsSkipped);
-        if (skipped == 0)
-            return true;
-        if (why != nullptr)
-            *why = "saturated summaries passed the disjointness skip " +
-                   std::to_string(skipped) + " time(s)";
-        return false;
     };
     return p;
 }

@@ -162,8 +162,7 @@ CheckProgram makePolicySnapshotProgram(bool reverted);
 CheckProgram makeDeadlineUnwindProgram(bool reverted);
 
 /**
- * Timestamp-extension zombie read (commit-path front 3,
- * docs/COMMIT_PATH.md): a reader extends its snapshot across an eager
+ * Timestamp-extension zombie read (docs/COMMIT_PATH.md): a reader extends its snapshot across an eager
  * writer's in-place writeback. The correct extension only ever adopts
  * a stable (unlocked) clock that held still across the value walk;
  * the reverted fix value-checks against the mid-writeback image and
@@ -173,22 +172,8 @@ CheckProgram makeDeadlineUnwindProgram(bool reverted);
  * commits a mix of pre- and post-writeback values and the history
  * checker rejects the run. Schedule-dependent: only interleavings
  * that park the reader inside the writer's clock-held window fail.
- * Runs with the read filter off so extension always takes the value
- * path (the ring-skip is covered by `filter-collision`).
  */
 CheckProgram makeTsExtensionProgram(bool reverted);
-
-/**
- * Universal-collision filter pathology (commit-path front 1):
- * saturated Bloom summaries make every published write set intersect
- * every read summary, so the disjointness skip must NEVER fire --
- * every clock bump takes the conservative full revalidation and the
- * workload must still commit correctly. The invariant pins
- * kRevalidationsSkipped to zero; the history checker covers the
- * values. (This is the false-positive extreme: FPs may only cost
- * spurious revalidations, never correctness.)
- */
-CheckProgram makeFilterCollisionProgram();
 
 } // namespace rhtm::check
 

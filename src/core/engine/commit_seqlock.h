@@ -98,22 +98,6 @@ class CommitSeqlock
         stamp();
     }
 
-    /**
-     * releaseAdvance that first publishes @p filter (the committer's
-     * write-set summary) into @p ring under the version this release
-     * produces (commit-path front 1). Must run outside any HTM region:
-     * the ring is non-speculative metadata, and a premature
-     * publication would survive an abort. Pass a null ring to skip.
-     */
-    void
-    releaseAdvance(uint64_t snapshot, CommitFilterRing *ring,
-                   const TxFilter &filter)
-    {
-        if (ring != nullptr)
-            ring->publish(clockUnlockAndAdvance(snapshot), filter);
-        releaseAdvance(snapshot);
-    }
-
     /** Nothing became visible: unlock by restoring the snapshot. */
     void
     releaseRestore(uint64_t snapshot)

@@ -17,8 +17,6 @@
 #include <atomic>
 #include <cstdint>
 
-#include "src/core/engine/filter.h"
-
 namespace rhtm
 {
 
@@ -156,16 +154,6 @@ struct TmGlobals
     alignas(64) Watchdog watchdog;
 
     /**
-     * Committed write-filter ring (commit-path front 1, runtime
-     * metadata like the kill switch: ordinary atomics, never
-     * engine-published). Clock-lock holders publish their write-set
-     * summary here before releasing; readers use it to prove
-     * intervening commits disjoint from their read sets and skip full
-     * value revalidation (src/core/engine/filter.h).
-     */
-    alignas(64) CommitFilterRing filterRing;
-
-    /**
      * Restore every coordination word, the kill switch, and the
      * watchdog to their power-on values. Test isolation only: the
      * interleaving explorer (src/check/) calls this between explored
@@ -191,7 +179,6 @@ struct TmGlobals
         watchdog.serialEpoch.store(0, std::memory_order_relaxed);
         watchdog.stalledWaiters.store(0, std::memory_order_relaxed);
         watchdog.stallEvents.store(0, std::memory_order_relaxed);
-        filterRing.resetForTest();
     }
 };
 

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/core/engine/filter.h"
 #include "src/core/engine/session.h"
 #include "src/htm/fixed_table.h"
 
@@ -95,19 +94,13 @@ class UndoJournal
  * Speculative write buffer for lazy (buffered) phases: lookups service
  * read-after-write, forEach publishes in program order at commit.
  *
- * Layout (commit-path front 2, docs/COMMIT_PATH.md): a dense append
- * log of (addr, value) entries -- duplicate addresses collapse in
- * place, so forEach still visits each word exactly once -- plus an
- * optional stamped open-addressing index mapping address to log
- * position. With the index off, lookups fall back to the classic
- * NOrec backward linear scan of the log (the A/B baseline and the
- * oracle the property tests compare against). An optional Bloom
- * summary (front 1) pre-filters lookups -- the common read of an
- * unwritten address answers "miss" from one resident cache line --
- * and doubles as the write filter committers publish to the
- * CommitFilterRing. (The simulated HTM keeps using the bounded
- * WriteBuffer in src/htm/fixed_table.h: hardware write sets are
- * capacity-bounded; this one grows without bound.)
+ * Layout (docs/COMMIT_PATH.md): a dense append log of (addr, value)
+ * entries -- duplicate addresses collapse in place, so forEach still
+ * visits each word exactly once -- plus a stamped open-addressing
+ * index mapping address to log position, making read-own-writes O(1).
+ * (The simulated HTM keeps using the bounded WriteBuffer in
+ * src/htm/fixed_table.h: hardware write sets are capacity-bounded;
+ * this one grows without bound.)
  */
 class RedoBuffer
 {
@@ -120,52 +113,27 @@ class RedoBuffer
         log_.reserve(256);
     }
 
-    /**
-     * Select the lookup strategy and whether the Bloom summary is
-     * maintained. Call only while empty (sessions call at begin(),
-     * right after clear()).
-     */
-    void
-    setMode(bool use_index, bool use_filter)
-    {
-        useIndex_ = use_index;
-        useFilter_ = use_filter;
-    }
-
     /** Buffer @p value for @p addr (overwrites an earlier buffering). */
     void
     putGrowing(uint64_t *addr, uint64_t value)
     {
-        if (useFilter_)
-            filter_.add(addr);
-        if (useIndex_) {
-            if (log_.size() >= (mask_ + 1) / 4 * 3)
-                grow();
-            size_t i = mixHash(reinterpret_cast<uint64_t>(addr)) & mask_;
-            for (;;) {
-                IdxSlot &s = idx_[i];
-                if (s.stamp != stamp_) {
-                    s.stamp = stamp_;
-                    s.pos = static_cast<uint32_t>(log_.size());
-                    log_.push_back({addr, value});
-                    return;
-                }
-                if (log_[s.pos].addr == addr) {
-                    log_[s.pos].value = value;
-                    return;
-                }
-                i = (i + 1) & mask_;
-            }
-        }
-        // Linear mode: collapse duplicates by scanning (newest first,
-        // where a rewritten hot word is most likely to sit).
-        for (size_t i = log_.size(); i > 0; --i) {
-            if (log_[i - 1].addr == addr) {
-                log_[i - 1].value = value;
+        if (log_.size() >= (mask_ + 1) / 4 * 3)
+            grow();
+        size_t i = mixHash(reinterpret_cast<uint64_t>(addr)) & mask_;
+        for (;;) {
+            IdxSlot &s = idx_[i];
+            if (s.stamp != stamp_) {
+                s.stamp = stamp_;
+                s.pos = static_cast<uint32_t>(log_.size());
+                log_.push_back({addr, value});
                 return;
             }
+            if (log_[s.pos].addr == addr) {
+                log_[s.pos].value = value;
+                return;
+            }
+            i = (i + 1) & mask_;
         }
-        log_.push_back({addr, value});
     }
 
     /**
@@ -177,28 +145,17 @@ class RedoBuffer
     {
         if (log_.empty())
             return false;
-        if (useFilter_ && !filter_.mightContain(addr))
-            return false; // Bloom miss is definitive (no false negatives).
-        if (useIndex_) {
-            size_t i = mixHash(reinterpret_cast<uint64_t>(addr)) & mask_;
-            for (;;) {
-                const IdxSlot &s = idx_[i];
-                if (s.stamp != stamp_)
-                    return false;
-                if (log_[s.pos].addr == addr) {
-                    out = log_[s.pos].value;
-                    return true;
-                }
-                i = (i + 1) & mask_;
-            }
-        }
-        for (size_t i = log_.size(); i > 0; --i) {
-            if (log_[i - 1].addr == addr) {
-                out = log_[i - 1].value;
+        size_t i = mixHash(reinterpret_cast<uint64_t>(addr)) & mask_;
+        for (;;) {
+            const IdxSlot &s = idx_[i];
+            if (s.stamp != stamp_)
+                return false;
+            if (log_[s.pos].addr == addr) {
+                out = log_[s.pos].value;
                 return true;
             }
+            i = (i + 1) & mask_;
         }
-        return false;
     }
 
     /** Number of distinct buffered words. */
@@ -216,19 +173,12 @@ class RedoBuffer
             fn(e.addr, e.value);
     }
 
-    /** Bloom summary of the buffered write set (empty if disabled). */
-    const TxFilter &filter() const { return filter_; }
-
-    /** Test hook: force the universal collision (TmConfig). */
-    void saturateFilterForTest() { filter_.saturate(); }
-
     /** Discard all buffered writes in O(1). */
     void
     clear()
     {
         log_.clear();
         ++stamp_;
-        filter_.clear();
     }
 
   private:
@@ -267,9 +217,6 @@ class RedoBuffer
     size_t mask_;
     std::vector<IdxSlot> idx_;
     uint64_t stamp_;
-    bool useIndex_ = true;
-    bool useFilter_ = true;
-    TxFilter filter_;
 };
 
 /** One value-validated read (NOrec family). */
@@ -292,30 +239,10 @@ class ValueReadLog
     void
     push(const uint64_t *addr, uint64_t value)
     {
-        if (filterOn_)
-            filter_.add(addr);
         log_.push_back({addr, value});
     }
 
-    /**
-     * Maintain a Bloom summary of the logged addresses (commit-path
-     * front 1); consulted against the CommitFilterRing to skip full
-     * value revalidation. Call at begin(), right after clear().
-     */
-    void setFilterEnabled(bool on) { filterOn_ = on; }
-
-    /** Bloom summary of the logged read set (empty if disabled). */
-    const TxFilter &filter() const { return filter_; }
-
-    /** Test hook: force the universal collision (TmConfig). */
-    void saturateFilterForTest() { filter_.saturate(); }
-
-    void
-    clear()
-    {
-        log_.clear();
-        filter_.clear();
-    }
+    void clear() { log_.clear(); }
 
     bool empty() const { return log_.empty(); }
 
@@ -355,8 +282,6 @@ class ValueReadLog
 
   private:
     std::vector<ReadEntry> log_;
-    bool filterOn_ = false;
-    TxFilter filter_;
 };
 
 } // namespace rhtm

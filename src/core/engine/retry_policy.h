@@ -131,8 +131,8 @@ struct RetryPolicy
     bool revertDeadlineUnwindFix = false;
 
     /**
-     * Revert the timestamp-extension stable-recheck fix (commit-path
-     * front 3, docs/COMMIT_PATH.md): the buggy extension value-checks
+     * Revert the timestamp-extension stable-recheck fix
+     * (docs/COMMIT_PATH.md): the buggy extension value-checks
      * the read log and then adopts a RAW clock load as the new
      * txVersion_ -- without waiting for the lock bit to clear or
      * re-checking that the clock held still across the value check. A

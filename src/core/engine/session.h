@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <cstdlib>
 
-#include "src/core/engine/tm_config.h"
 #include "src/htm/abort.h"
 
 namespace rhtm
@@ -189,22 +188,12 @@ class TxSession
         onDeadlineAttached();
     }
 
-    /**
-     * Install the commit-path front switches (docs/COMMIT_PATH.md).
-     * Called once by the runtime right after construction, before any
-     * transaction runs on the session.
-     */
-    void configureCommitPath(const TmConfig &cfg) { commitCfg_ = cfg; }
-
   protected:
     /** Hook for sessions that forward the pointer (SessionCore). */
     virtual void onDeadlineAttached() {}
 
     /** The thread's deadline state, or nullptr before attachment. */
     DeadlineState *deadline_ = nullptr;
-
-    /** Commit-path front switches; defaults until configured. */
-    TmConfig commitCfg_;
 
     /**
      * Bind the accessor descriptor for the mode just entered. @p self

@@ -48,38 +48,20 @@ HybridNOrecSession::readPhaseRead(void *self, const uint64_t *addr)
     simDelay(s->core_.penalty); // Instrumented access (DESIGN.md).
     ++s->core_.tally.slowReads;
     uint64_t v = s->core_.eng.directLoad(addr);
-    if (s->commitCfg_.tsExtension) {
-        // Front 3: keep a value log and extend the snapshot across
-        // foreign commits instead of the unconditional restart below.
-        while (s->core_.eng.directLoad(&s->core_.g.clock) !=
-               s->core_.txVersion) {
-            s->core_.txVersion = s->extend();
-            v = s->core_.eng.directLoad(addr);
-        }
-        s->readLog_.push(addr, v);
-        return v;
+    // Keep a value log and extend the snapshot across foreign commits
+    // (the paper's eager slow path restarts on any commit instead).
+    while (s->core_.eng.directLoad(&s->core_.g.clock) !=
+           s->core_.txVersion) {
+        s->core_.txVersion = s->extend();
+        v = s->core_.eng.directLoad(addr);
     }
-    if (s->core_.eng.directLoad(&s->core_.g.clock) != s->core_.txVersion)
-        s->restart(); // Eager NOrec: no read log, restart on any commit.
+    s->readLog_.push(addr, v);
     return v;
 }
 
 uint64_t
 HybridNOrecSession::extend()
 {
-    if (commitCfg_.readFilter) {
-        uint64_t cur = core_.stableClock();
-        if (cur == core_.txVersion)
-            return cur; // The mover was a lock that restored; no-op.
-        if (core_.g.filterRing.coveredDisjoint(core_.txVersion, cur,
-                                               readLog_.filter())) {
-            // Disjoint commits only (hardware bumps publish nothing
-            // and fail the slot walk): the log holds, adopt cur.
-            core_.count(Counter::kRevalidationsSkipped);
-            core_.count(Counter::kTsExtensions);
-            return cur;
-        }
-    }
     if (core_.policy.revertTsExtensionFix) {
         // BUG (reverted fix, check-matrix leg): value-check against a
         // possibly mid-writeback memory image and adopt a raw --
@@ -144,13 +126,6 @@ HybridNOrecSession::beginSoftware()
     writeDetected_ = false;
     undo_.clear();
     readLog_.clear();
-    writeFilter_.clear();
-    readLog_.setFilterEnabled(commitCfg_.tsExtension &&
-                              commitCfg_.readFilter);
-    if (commitCfg_.filterSaturateForTest) {
-        readLog_.saturateFilterForTest();
-        writeFilter_.saturate();
-    }
     // Wait out a mid-flight writer stall-aware instead of restarting:
     // a restart here charges the slow-path budget for another thread's
     // publication window and lemmings everyone into serial mode when
@@ -177,17 +152,10 @@ HybridNOrecSession::begin(TxnHint hint)
 void
 HybridNOrecSession::handleFirstWrite()
 {
-    if (!seqlock_.tryAcquireAt(core_.txVersion)) {
-        if (!commitCfg_.tsExtension)
-            restart();
-        // Front 3 at the upgrade point: extend (value-validating the
-        // read log) and retry instead of restarting.
-        for (;;) {
-            core_.txVersion = extend();
-            if (seqlock_.tryAcquireAt(core_.txVersion))
-                break;
-        }
-    }
+    // The clock moved since our snapshot: extend (value-validating
+    // the read log) and retry instead of restarting.
+    while (!seqlock_.tryAcquireAt(core_.txVersion))
+        core_.txVersion = extend();
     writeDetected_ = true;
     // Eager writes are about to become visible: kill every hardware
     // fast path before the first store (Section 3.1).
@@ -206,8 +174,6 @@ HybridNOrecSession::inPlaceWrite(uint64_t *addr, uint64_t value)
         sessionFaultPointNoAbort(core_.htm, FaultSite::kSoftwareWrite);
     else
         sessionFaultPoint(core_.htm, FaultSite::kSoftwareWrite);
-    if (commitCfg_.readFilter)
-        writeFilter_.add(addr);
     undo_.push(addr, core_.eng.directLoad(addr));
     if (core_.persistOn())
         core_.persist->stage(addr, value);
@@ -235,12 +201,7 @@ HybridNOrecSession::commit()
         core_.persist->sealStaged();
     core_.eng.directStore(&core_.g.htmLock, 0);
     htmLockSet_ = false;
-    // Publish the write summary for front 1 -- after the HTM lock
-    // drops (the ring is plain metadata, never engine-visible).
-    seqlock_.releaseAdvance(core_.txVersion,
-                            commitCfg_.readFilter ? &core_.g.filterRing
-                                                  : nullptr,
-                            writeFilter_);
+    seqlock_.releaseAdvance(core_.txVersion);
     writeDetected_ = false;
     // The undo journal is dead once the writes are committed.
     undo_.clear();
@@ -265,9 +226,10 @@ HybridNOrecSession::becomeIrrevocable()
         // concurrent upgraders in ticket order.
         core_.grantBarrierEnter();
         // Lock the clock exactly as a first write would: a failed CAS
-        // means some writer committed since our snapshot, so our reads
-        // may be stale -- restart() BEFORE granting (the serial lock
-        // stays held, so the replayed attempt upgrades unopposed).
+        // means some writer committed since our snapshot, so the read
+        // log is revalidated -- and a changed value restarts BEFORE
+        // granting (the serial lock stays held, so the replayed
+        // attempt upgrades unopposed).
         handleFirstWrite();
     }
     // Clock and HTM lock held: reads are direct, no one else can
@@ -288,12 +250,8 @@ HybridNOrecSession::rollbackWriter()
         core_.eng.directStore(&core_.g.htmLock, 0);
         htmLockSet_ = false;
     }
-    // The published summary covers the undone addresses, so a reader
-    // that glimpsed them can never pass the disjointness skip.
-    seqlock_.releaseAdvance(core_.txVersion,
-                            commitCfg_.readFilter ? &core_.g.filterRing
-                                                  : nullptr,
-                            writeFilter_);
+    // Advance anyway: a reader may have glimpsed the undone values.
+    seqlock_.releaseAdvance(core_.txVersion);
     writeDetected_ = false;
 }
 

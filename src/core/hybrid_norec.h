@@ -10,7 +10,9 @@
  *  - Software slow path: the eager encounter-time NOrec STM, which on
  *    its first write locks the clock and raises global_htm_lock,
  *    aborting all hardware transactions for its whole write phase
- *    (the source of the false aborts RH NOrec eliminates).
+ *    (the source of the false aborts RH NOrec eliminates). Its read
+ *    phase logs values and extends its snapshot across foreign
+ *    commits instead of restarting (docs/ALGORITHMS.md).
  *
  * The serial starvation lock of Section 3.3 backs a slow path that
  * restarts too often.
@@ -70,7 +72,6 @@ class HybridNOrecSession : public TxSession
         htmLockSet_ = false;
         undo_.clear();
         readLog_.clear();
-        writeFilter_.clear();
     }
 
     unsigned
@@ -107,9 +108,9 @@ class HybridNOrecSession : public TxSession
     void handleFirstWrite();
 
     /**
-     * Timestamp extension (commit-path front 3): value-validate the
+     * Timestamp extension (docs/COMMIT_PATH.md): value-validate the
      * read-phase log and adopt the new snapshot instead of restarting
-     * on a foreign commit. Only called with TmConfig::tsExtension on.
+     * on a foreign commit. Restarts if a logged value changed.
      */
     uint64_t extend();
 
@@ -129,8 +130,6 @@ class HybridNOrecSession : public TxSession
     UndoJournal undo_;
     //! Read-phase value log, kept only for timestamp extension.
     ValueReadLog readLog_;
-    //! Write-set summary published to the CommitFilterRing (front 1).
-    TxFilter writeFilter_;
 };
 
 } // namespace rhtm

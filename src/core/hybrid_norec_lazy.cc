@@ -107,12 +107,6 @@ HybridNOrecLazySession::beginSoftware()
     core_.registerFallback();
     readLog_.clear();
     writes_.clear();
-    writes_.setMode(commitCfg_.redoIndex, commitCfg_.readFilter);
-    readLog_.setFilterEnabled(commitCfg_.readFilter);
-    if (commitCfg_.filterSaturateForTest) {
-        writes_.saturateFilterForTest();
-        readLog_.saturateFilterForTest();
-    }
     core_.txVersion = core_.stableClock();
     bindDispatch(kSoftDispatch, this);
 }
@@ -133,20 +127,6 @@ HybridNOrecLazySession::begin(TxnHint hint)
 uint64_t
 HybridNOrecLazySession::validate()
 {
-    if (commitCfg_.readFilter) {
-        uint64_t cur = core_.stableClock();
-        if (cur == core_.txVersion)
-            return cur; // The mover was a lock that restored; no-op.
-        if (core_.g.filterRing.coveredDisjoint(core_.txVersion, cur,
-                                               readLog_.filter())) {
-            // Every commit in (txVersion, cur] published a disjoint
-            // write summary: the log holds by construction. Hardware
-            // fast-path commits publish nothing, so their bumps fail
-            // the slot walk and fall through to the full walk below.
-            core_.count(Counter::kRevalidationsSkipped);
-            return cur;
-        }
-    }
     core_.count(Counter::kRevalidations);
     return readLog_.revalidate(EngineMem(core_.eng), &core_.g.clock,
                                [this] { return core_.stableClock(); });
@@ -207,12 +187,7 @@ HybridNOrecLazySession::commit()
         core_.persist->sealStaged();
     core_.eng.directStore(&core_.g.htmLock, 0);
     htmLockSet_ = false;
-    // Publish the write summary for front 1 -- outside the HTM-lock
-    // window (the ring is plain metadata, never engine-visible).
-    seqlock_.releaseAdvance(core_.txVersion,
-                            commitCfg_.readFilter ? &core_.g.filterRing
-                                                  : nullptr,
-                            writes_.filter());
+    seqlock_.releaseAdvance(core_.txVersion);
     clockHeld_ = false;
     if (core_.persistOn())
         core_.persist->drainAndMark();

@@ -102,10 +102,7 @@ class HybridNOrecLazySession : public TxSession
 
     /**
      * Value-validate the read log at a stable clock; returns the new
-     * snapshot version or restarts. With TmConfig::readFilter on,
-     * first consults the CommitFilterRing and skips the value walk
-     * when every commit since txVersion published a disjoint write
-     * summary (commit-path front 1).
+     * snapshot version or restarts.
      */
     uint64_t validate();
 

@@ -99,9 +99,6 @@ RhTl2Session::beginMixed()
     core_.registerFallback();
     readLog_.clear();
     writes_.clear();
-    // Fronts 1+2 apply to the redo buffer only here: RH-TL2 validates
-    // by orec, not by value, so there is no ring skip to take.
-    writes_.setMode(commitCfg_.redoIndex, commitCfg_.readFilter);
     rv_ = core_.eng.directLoad(tl2_.clock());
     bindDispatch(kMixedDispatch, this);
 }

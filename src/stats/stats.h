@@ -65,7 +65,7 @@ enum class Counter : unsigned
     kCrossShardRestarts,    //!< Multi-domain prepare/validate failures.
     kCrossShardEscalations, //!< Multi-domain commits that went serial.
     kRevalidations,         //!< Full value-log revalidations run.
-    kRevalidationsSkipped,  //!< Revalidations skipped via the filter ring.
+    kRevalidationsSkipped,  //!< No longer incremented (filter ring gone).
     kTsExtensions,          //!< Eager-path timestamp extensions taken.
     kNumCounters
 };

@@ -50,15 +50,6 @@ NOrecEagerSession::begin(TxnHint hint)
     (void)hint;
     undo_.clear();
     readLog_.clear();
-    writeFilter_.clear();
-    // The eager read log exists only to extend; off both fronts it
-    // stays empty and the classic protocol is byte-for-byte intact.
-    readLog_.setFilterEnabled(commitCfg_.tsExtension &&
-                              commitCfg_.readFilter);
-    if (commitCfg_.filterSaturateForTest) {
-        readLog_.saturateFilterForTest();
-        writeFilter_.saturate();
-    }
     if (serialized_) {
         // Progress escape hatch: a transaction that keeps restarting
         // takes the writer lock up front and runs exclusively.
@@ -85,43 +76,19 @@ NOrecEagerSession::readPhaseRead(void *self, const uint64_t *addr)
     simDelay(s->penalty_);
     ++s->tally_.slowReads;
     uint64_t v = s->mem_.load(addr);
-    if (s->commitCfg_.tsExtension) {
-        // Front 3: instead of the unconditional restart below, keep a
-        // value log and extend the snapshot across foreign commits.
-        while (s->mem_.load(&s->g_.clock) != s->txVersion_) {
-            s->txVersion_ = s->extend();
-            v = s->mem_.load(addr);
-        }
-        s->readLog_.push(addr, v);
-        return v;
+    // Keep a value log and extend the snapshot across foreign commits
+    // (the paper's eager NOrec restarts on any commit instead).
+    while (s->mem_.load(&s->g_.clock) != s->txVersion_) {
+        s->txVersion_ = s->extend();
+        v = s->mem_.load(addr);
     }
-    if (s->mem_.load(&s->g_.clock) != s->txVersion_) {
-        // Some writer committed (or is writing): with no read log, the
-        // eager design must restart (paper Section 3.1).
-        s->restart();
-    }
+    s->readLog_.push(addr, v);
     return v;
 }
 
 uint64_t
 NOrecEagerSession::extend()
 {
-    if (commitCfg_.readFilter) {
-        uint64_t cur = stableClock();
-        if (cur == txVersion_)
-            return cur; // The mover was a lock that restored; no-op.
-        if (g_.filterRing.coveredDisjoint(txVersion_, cur,
-                                          readLog_.filter())) {
-            // Every commit in (txVersion_, cur] published a write
-            // summary disjoint from our reads: the log still holds by
-            // construction, adopt cur without touching it.
-            if (stats_) {
-                stats_->inc(Counter::kRevalidationsSkipped);
-                stats_->inc(Counter::kTsExtensions);
-            }
-            return cur;
-        }
-    }
     if (policy_ != nullptr && policy_->revertTsExtensionFix) {
         // BUG (reverted fix, check-matrix leg): value-check against a
         // possibly mid-writeback memory image and adopt a raw --
@@ -153,8 +120,6 @@ NOrecEagerSession::readPhaseWrite(void *self, uint64_t *addr,
     s->acquireClockLock();
     s->writeDetected_ = true;
     s->bindDispatch(kWriterDispatch, s);
-    if (s->commitCfg_.readFilter)
-        s->writeFilter_.add(addr);
     s->undo_.push(addr, s->mem_.load(addr));
     if (s->persist_ != nullptr)
         s->persist_->stage(addr, value);
@@ -178,8 +143,6 @@ NOrecEagerSession::writerWrite(void *self, uint64_t *addr,
     auto *s = static_cast<NOrecEagerSession *>(self);
     simDelay(s->penalty_);
     ++s->tally_.slowWrites;
-    if (s->commitCfg_.readFilter)
-        s->writeFilter_.add(addr);
     s->undo_.push(addr, s->mem_.load(addr));
     if (s->persist_ != nullptr)
         s->persist_->stage(addr, value);
@@ -189,19 +152,11 @@ NOrecEagerSession::writerWrite(void *self, uint64_t *addr,
 void
 NOrecEagerSession::acquireClockLock()
 {
-    if (seqlock_.tryAcquireAt(txVersion_))
-        return;
-    if (commitCfg_.tsExtension) {
-        // Front 3 at the upgrade point: the clock moved between our
-        // snapshot and the first write; extend (value-validating the
-        // read log) and retry instead of restarting.
-        for (;;) {
-            txVersion_ = extend();
-            if (seqlock_.tryAcquireAt(txVersion_))
-                return;
-        }
-    }
-    restart();
+    // The clock moved between our snapshot and the first write:
+    // extend (value-validating the read log) and retry instead of
+    // restarting.
+    while (!seqlock_.tryAcquireAt(txVersion_))
+        txVersion_ = extend();
 }
 
 void
@@ -214,10 +169,7 @@ NOrecEagerSession::commit()
     // write-behind after the release.
     if (persist_ != nullptr)
         persist_->sealStaged();
-    seqlock_.releaseAdvance(txVersion_,
-                            commitCfg_.readFilter ? &g_.filterRing
-                                                  : nullptr,
-                            writeFilter_);
+    seqlock_.releaseAdvance(txVersion_);
     writeDetected_ = false;
     if (persist_ != nullptr)
         persist_->drainAndMark();
@@ -232,8 +184,9 @@ NOrecEagerSession::becomeIrrevocable()
         // Holding the clock is what makes an eager NOrec writer
         // infallible: no other writer can commit, every read is
         // direct, and commit() is a plain unlock-and-advance. A failed
-        // CAS means some writer moved the clock since our snapshot --
-        // restart BEFORE granting (no side effect has run yet).
+        // CAS means some writer moved the clock since our snapshot:
+        // the read log is revalidated, and a changed value restarts
+        // BEFORE granting (no side effect has run yet).
         acquireClockLock();
         writeDetected_ = true;
         bindDispatch(kWriterDispatch, this);
@@ -256,14 +209,8 @@ NOrecEagerSession::rollbackWriter()
         return;
     undo_.rollback(mem_);
     // Advance the clock anyway: a concurrent reader may have glimpsed
-    // the undone values, and the bump forces it to restart. The
-    // published summary covers the undone addresses (they were
-    // written, then written back), so a glimpsing reader can never
-    // pass the disjointness skip.
-    seqlock_.releaseAdvance(txVersion_,
-                            commitCfg_.readFilter ? &g_.filterRing
-                                                  : nullptr,
-                            writeFilter_);
+    // the undone values, and the bump forces it to revalidate.
+    seqlock_.releaseAdvance(txVersion_);
     writeDetected_ = false;
 }
 
@@ -355,12 +302,6 @@ NOrecLazySession::begin(TxnHint hint)
     readLog_.clear();
     writes_.clear();
     clockHeld_ = false;
-    writes_.setMode(commitCfg_.redoIndex, commitCfg_.readFilter);
-    readLog_.setFilterEnabled(commitCfg_.readFilter);
-    if (commitCfg_.filterSaturateForTest) {
-        writes_.saturateFilterForTest();
-        readLog_.saturateFilterForTest();
-    }
     if (serialized_) {
         txVersion_ = seqlock_.acquireBlocking(
             [this] { return stableClock(); },
@@ -380,20 +321,6 @@ NOrecLazySession::begin(TxnHint hint)
 uint64_t
 NOrecLazySession::validate()
 {
-    if (commitCfg_.readFilter) {
-        uint64_t cur = stableClock();
-        if (cur == txVersion_)
-            return cur; // The mover was a lock that restored; no-op.
-        if (g_.filterRing.coveredDisjoint(txVersion_, cur,
-                                          readLog_.filter())) {
-            // Every commit in (txVersion_, cur] published a write
-            // summary disjoint from our read summary: no logged value
-            // can have changed, adopt cur without the value walk.
-            if (stats_)
-                stats_->inc(Counter::kRevalidationsSkipped);
-            return cur;
-        }
-    }
     if (stats_)
         stats_->inc(Counter::kRevalidations);
     return readLog_.revalidate(mem_, &g_.clock,
@@ -464,10 +391,7 @@ NOrecLazySession::commit()
     });
     if (persist_ != nullptr)
         persist_->sealStaged();
-    seqlock_.releaseAdvance(txVersion_,
-                            commitCfg_.readFilter ? &g_.filterRing
-                                                  : nullptr,
-                            writes_.filter());
+    seqlock_.releaseAdvance(txVersion_);
     clockHeld_ = false;
     if (persist_ != nullptr)
         persist_->drainAndMark();

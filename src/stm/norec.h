@@ -4,8 +4,10 @@
  * the paper evaluates (Section 3.1):
  *
  *  - eager: encounter-time writes. The first write locks the global
- *    clock and subsequent writes go straight to memory; there is no
- *    read log, so a reader must restart whenever any writer commits.
+ *    clock and subsequent writes go straight to memory. The read
+ *    phase keeps a value log and extends its snapshot when a writer
+ *    commits; the paper's eager NOrec keeps no log and restarts
+ *    instead (docs/ALGORITHMS.md).
  *  - lazy: a value-based read log and a deferred write set; the clock
  *    is held only across the commit-time write-back, and readers
  *    revalidate by value instead of restarting.
@@ -83,7 +85,6 @@ class NOrecEagerSession : public TxSession
         restarts_ = 0;
         undo_.clear();
         readLog_.clear();
-        writeFilter_.clear();
     }
 
   private:
@@ -105,10 +106,10 @@ class NOrecEagerSession : public TxSession
     void acquireClockLock();
 
     /**
-     * Timestamp extension (commit-path front 3): the clock moved under
+     * Timestamp extension (docs/COMMIT_PATH.md): the clock moved under
      * a read phase; value-validate the read log and adopt the new
      * snapshot instead of restarting. Restarts if a logged value
-     * changed. Only called with TmConfig::tsExtension on.
+     * changed.
      */
     uint64_t extend();
 
@@ -130,11 +131,8 @@ class NOrecEagerSession : public TxSession
     bool irrevocable_ = false;
     unsigned restarts_ = 0;
     UndoJournal undo_;
-    //! Read-phase value log, kept only for timestamp extension; plays
-    //! no part in the classic restart-on-clock-move protocol.
+    //! Read-phase value log, kept only for timestamp extension.
     ValueReadLog readLog_;
-    //! Write-set summary published to the CommitFilterRing (front 1).
-    TxFilter writeFilter_;
     TxPersist *persist_; //!< Durable-commit driver; null = off.
     const RetryPolicy *policy_; //!< Reverted-fix gates; may be null.
 };
@@ -188,11 +186,7 @@ class NOrecLazySession : public TxSession
 
     /**
      * Value-validate the read log at a stable clock; returns the new
-     * snapshot version, or restarts on a changed value. With
-     * TmConfig::readFilter on, first consults the CommitFilterRing: if
-     * every commit since txVersion_ published a write summary disjoint
-     * from our read summary, the log is untouched by construction and
-     * the value walk is skipped (commit-path front 1).
+     * snapshot version, or restarts on a changed value.
      */
     uint64_t validate();
 

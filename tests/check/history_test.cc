@@ -64,6 +64,39 @@ TEST(HistoryCheckerTest, InterleavedSnapshotReadersAreOk)
     EXPECT_TRUE(res.ok()) << res.detail;
 }
 
+TEST(HistoryCheckerTest, EarlyWriterIsPrunedNotPermuted)
+{
+    // t0 begins first and overwrites v0, which t1 read as 0; twelve
+    // readers of untouched vars overlap both. Every valid order puts
+    // t1 before t0. A search that tries t0 first must see at once
+    // that t1 can no longer replay, not after trying all 12! orders
+    // of the other readers.
+    const unsigned kReaders = 12;
+    History h;
+    h.push(0, HistKind::kBegin);
+    for (unsigned r = 0; r < kReaders; ++r)
+        h.push(2 + r, HistKind::kBegin);
+    h.push(1, HistKind::kBegin);
+    h.push(1, HistKind::kAttempt);
+    h.push(1, HistKind::kRead, 0, 0);
+    h.push(1, HistKind::kCommit);
+    for (unsigned r = 0; r < kReaders; ++r) {
+        h.push(2 + r, HistKind::kAttempt);
+        h.push(2 + r, HistKind::kRead, 1 + r, 0);
+        h.push(2 + r, HistKind::kCommit);
+    }
+    h.push(0, HistKind::kAttempt);
+    h.push(0, HistKind::kWrite, 0, 1);
+    h.push(0, HistKind::kCommit);
+    CheckResult res =
+        checkHistory(h, std::vector<uint64_t>(kReaders + 1, 0));
+    EXPECT_TRUE(res.ok()) << res.detail;
+    const std::vector<unsigned> &w = res.witnessOrder;
+    ASSERT_EQ(w.size(), kReaders + 2);
+    EXPECT_LT(std::find(w.begin(), w.end(), 1u) - w.begin(),
+              std::find(w.begin(), w.end(), 0u) - w.begin());
+}
+
 TEST(HistoryCheckerTest, CommittedWriteSkewIsNotSerializable)
 {
     // Both transactions read the OTHER variable's initial value and

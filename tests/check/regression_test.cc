@@ -169,28 +169,5 @@ TEST(RegressionTest, TsExtensionZombieFailsWhenReverted)
     }
 }
 
-/**
- * The saturated-summary pathology: the universal collision must route
- * every extension through full revalidation (the invariant pins the
- * skip counter to zero) while the workload keeps committing correctly
- * on every explored schedule.
- */
-TEST(RegressionTest, FilterCollisionNeverPassesTheSkip)
-{
-    for (AlgoKind kind :
-         {AlgoKind::kNOrec, AlgoKind::kNOrecLazy, AlgoKind::kHybridNOrec,
-          AlgoKind::kHybridNOrecLazy}) {
-        Explorer ex(kind, makeFilterCollisionProgram());
-        ExploreOptions opts;
-        opts.mode = ExploreMode::kRandom;
-        opts.seed = 3;
-        opts.runs = 256;
-        ExploreResult res = ex.explore(opts);
-        EXPECT_FALSE(res.failed)
-            << algoKindName(kind) << ": " << res.failure.invariantWhy
-            << ' ' << res.failure.check.detail;
-    }
-}
-
 } // namespace
 } // namespace rhtm::check

@@ -89,13 +89,10 @@ expectQuiescent(TmRuntime &rt, const char *algo)
 void
 runTransferScenario(AlgoKind kind, const char *schedule,
                     unsigned threads, unsigned iters,
-                    bool with_upgrades,
-                    const TmConfig *commit_path = nullptr)
+                    bool with_upgrades)
 {
     const char *algo = algoKindName(kind);
     RuntimeConfig cfg = conformanceConfig(schedule);
-    if (commit_path != nullptr)
-        cfg.commitPath = *commit_path;
     TmRuntime rt(kind, cfg);
     std::vector<Account> accounts(kAccounts);
     for (auto &a : accounts)
@@ -436,32 +433,6 @@ TEST_P(ConformanceTest, IrrevocableGrantSuppressesDeadline)
     EXPECT_EQ(rt.peek(&g_word), 11u) << algo();
     EXPECT_EQ(rt.stats().get(Counter::kDeadlineExceeded), 0u) << algo();
     expectQuiescent(rt, algo());
-}
-
-TEST_P(ConformanceTest, CommitPathFlagMatrix)
-{
-    // The commit-path speed campaign (docs/COMMIT_PATH.md) is three
-    // independently-switchable fronts; semantics must be identical at
-    // every point of the 2^3 flag lattice, on every composition --
-    // algorithms a flag does not apply to must simply ignore it. A
-    // ninth leg saturates the Bloom summaries (the universal-collision
-    // pathology) so the filter's conservative fallback is on-path too.
-    for (unsigned bits = 0; bits <= 8; ++bits) {
-        TmConfig cp;
-        cp.readFilter = (bits & 1) != 0;
-        cp.redoIndex = (bits & 2) != 0;
-        cp.tsExtension = (bits & 4) != 0;
-        if (bits == 8) {
-            cp.readFilter = true;
-            cp.filterSaturateForTest = true;
-        }
-        SCOPED_TRACE(std::string(algo()) + " flags=" +
-                     (cp.readFilter ? "F" : "-") +
-                     (cp.redoIndex ? "I" : "-") +
-                     (cp.tsExtension ? "X" : "-") +
-                     (cp.filterSaturateForTest ? "S" : "-"));
-        runTransferScenario(GetParam(), nullptr, 4, 80, false, &cp);
-    }
 }
 
 TEST_P(ConformanceTest, OpacityHoldsUnderIrrevocableStorm)

@@ -2,11 +2,15 @@
  * @file
  * White-box tests of the STM baselines, driving sessions directly to
  * pin down the protocol differences the paper leans on: eager NOrec
- * restarts on any commit, lazy NOrec value-validates, TL2 detects
- * conflicts per location.
+ * extends its snapshot and restarts only on an overwritten read, lazy
+ * NOrec value-validates, TL2 detects conflicts per location.
  */
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "src/api/runtime.h"
 
@@ -32,37 +36,11 @@ struct StmFixture : public ::testing::Test
     alignas(64) uint64_t z = 3;
 };
 
-/** Classic eager NOrec: timestamp extension (front 3) disabled. */
-RuntimeConfig
-classicEagerConfig()
-{
-    RuntimeConfig cfg;
-    cfg.commitPath.tsExtension = false;
-    return cfg;
-}
-
-TEST_F(StmFixture, EagerNOrecReaderRestartsOnAnyCommit)
-{
-    TmRuntime rt(AlgoKind::kNOrec, classicEagerConfig());
-    TxSession &a = rt.registerThread().session();
-    TxSession &b = rt.registerThread().session();
-
-    a.begin(TxnHint::kNone);
-    EXPECT_EQ(a.read(&x), 1u);
-
-    writeTxn(b, &z, 30); // Unrelated location...
-
-    // ...but eager NOrec has no read log: any commit forces a restart
-    // (paper Section 3.1).
-    EXPECT_THROW(a.read(&y), TxRestart);
-    a.onRestart();
-}
-
 TEST_F(StmFixture, EagerNOrecReaderExtendsAcrossUnrelatedCommit)
 {
-    // Front 3 (the default): the eager session keeps a value log and
-    // extends its snapshot across a disjoint commit instead of
-    // restarting.
+    // The eager session keeps a value log and extends its snapshot
+    // across a disjoint commit instead of restarting (the paper's
+    // eager NOrec restarts here).
     TmRuntime rt(AlgoKind::kNOrec);
     TxSession &a = rt.registerThread().session();
     TxSession &b = rt.registerThread().session();
@@ -175,20 +153,31 @@ TEST_F(StmFixture, EagerNOrecWritesInPlaceUnderClockLock)
 
 TEST_F(StmFixture, EagerNOrecWriterBlocksOtherWriter)
 {
-    // Classic protocol: with extension on, b would *wait* for the
-    // locked clock instead of restarting (deadlock single-threaded).
-    TmRuntime rt(AlgoKind::kNOrec, classicEagerConfig());
+    // b cannot acquire the clock a holds: its first write waits for
+    // a's commit, then extends its (empty) read log and proceeds.
+    TmRuntime rt(AlgoKind::kNOrec);
     TxSession &a = rt.registerThread().session();
     TxSession &b = rt.registerThread().session();
 
     a.begin(TxnHint::kNone);
     b.begin(TxnHint::kNone);
     a.write(&x, 10);
-    // b cannot acquire the locked clock.
-    EXPECT_THROW(b.write(&y, 20), TxRestart);
-    b.onRestart();
+    std::atomic<bool> b_wrote{false};
+    std::thread writer([&] {
+        b.write(&y, 20);
+        b_wrote = true;
+        b.commit();
+        b.onComplete();
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(b_wrote.load()) << "b must wait while a holds the clock";
+    EXPECT_EQ(y, 2u);
     a.commit();
     a.onComplete();
+    writer.join();
+    EXPECT_TRUE(b_wrote.load());
+    EXPECT_EQ(x, 10u);
+    EXPECT_EQ(y, 20u);
 }
 
 TEST_F(StmFixture, Tl2ReaderSurvivesUnrelatedCommit)

@@ -5,13 +5,17 @@ Usage: bench_flags_test.py BENCH_BINARY...
 
 A mistyped or retired flag used to be ignored: the binary ran another
 experiment than the one asked for and still exited 0. Each binary must
-instead exit 2 and name the flag on stderr, both for a retired flag
-(--group-commit=on) and a made-up one (--no-such-flag). Flags are
-checked before any cell runs, so this takes no time.
+instead exit 2 and name the flag on stderr, both for the retired
+commit-path switches (--group-commit, --read-filter, --redo-index,
+--ts-extension) and a made-up one (--no-such-flag). Flags are checked
+before any cell runs, so this takes no time.
 """
 
 import subprocess
 import sys
+
+RETIRED = ("--group-commit=on", "--read-filter=on", "--redo-index=off",
+           "--ts-extension=off")
 
 
 def main():
@@ -20,7 +24,7 @@ def main():
         return 2
     failures = []
     for binary in sys.argv[1:]:
-        for flag in ("--group-commit=on", "--no-such-flag"):
+        for flag in RETIRED + ("--no-such-flag",):
             proc = subprocess.run([binary, flag], capture_output=True,
                                   text=True, timeout=60)
             if proc.returncode != 2 or flag[2:].split("=")[0] not in \

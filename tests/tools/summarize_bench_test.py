@@ -1,15 +1,13 @@
 #!/usr/bin/env python3
-"""Regression test: summarize_bench.py on mixed-era captures.
+"""Regression test: summarize_bench.py on a directory of captures.
 
 Usage: summarize_bench_test.py <repo_root>
 
 Drives tools/summarize_bench.py over the fixture pair in
-tests/tools/fixtures/ -- a current capture (31 columns, with the
-overload columns) and a legacy pre-overload one (28 columns) -- three
-ways: each file alone, then the directory holding both. The directory
-form used to crash with IsADirectoryError, which is exactly how mixed
-legacy/current captures end up being summarized; now the fold-in is
-per-file and every row must survive into one table.
+tests/tools/fixtures/ -- two captures in the current 31-column schema
+-- three ways: each file alone, then the directory holding both. The
+directory form used to crash with IsADirectoryError; now the fold-in
+is per-file and every row must survive into one table.
 """
 
 import os
@@ -32,7 +30,7 @@ def main():
     tool = os.path.join(root, "tools", "summarize_bench.py")
     fixtures = os.path.join(root, "tests", "tools", "fixtures")
     current = os.path.join(fixtures, "current.csv")
-    legacy = os.path.join(fixtures, "legacy_pre_overload.csv")
+    second = os.path.join(fixtures, "current_norec.csv")
 
     failures = []
 
@@ -40,18 +38,18 @@ def main():
         if not cond:
             failures.append(f"{name}: {detail}")
 
-    # Each era parses on its own.
+    # Each file parses on its own.
     rc, out = run(tool, current)
     check("current-alone", rc == 0, f"exit {rc}\n{out}")
     check("current-alone", "12,346" in out, f"missing row\n{out}")
 
-    rc, out = run(tool, legacy)
-    check("legacy-alone", rc == 0, f"exit {rc}\n{out}")
-    check("legacy-alone", "11,111" in out, f"missing row\n{out}")
+    rc, out = run(tool, second)
+    check("second-alone", rc == 0, f"exit {rc}\n{out}")
+    check("second-alone", "11,111" in out, f"missing row\n{out}")
 
-    # The mixed directory: no crash, and rows from BOTH eras fold
-    # into the summary (the legacy file contributes the norec row,
-    # the current one rh-norec and hy-norec).
+    # The directory: no crash, and rows from BOTH files fold into the
+    # summary (one file contributes the norec row, the other rh-norec
+    # and hy-norec).
     rc, out = run(tool, fixtures)
     check("mixed-dir", rc == 0, f"exit {rc}\n{out}")
     for needle in ("12,346", "9,876", "11,111"):

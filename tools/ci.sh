@@ -61,7 +61,7 @@ for reg in first-try-budget policy-snapshot deadline-unwind; do
 done
 
 echo "== check: commit-path campaign (docs/COMMIT_PATH.md) =="
-# Front 3's extension zombie is schedule-dependent: 512 random walks
+# The snapshot-extension zombie is schedule-dependent: 512 random walks
 # with this seed park the reader inside the writer's clock-held
 # writeback window on both eager kinds. The reverted fix must FAIL
 # (the history checker sees the impossible read mix) and the shipped
@@ -76,10 +76,6 @@ for algo in norec hy-norec; do
     build/bench/bench_check --algo="$algo" --regression=ts-extension \
         --mode=random --seed=1 --runs=512
 done
-# Front 1's false-positive extreme: saturated summaries must never
-# pass the disjointness skip, on any kind, while still committing.
-build/bench/bench_check --algo=all --regression=filter-collision \
-    --mode=random --seed=3 --runs=64
 
 echo "== overload: adversary A/B, admission off vs on =="
 # The two pathologies the admission gate must demonstrably bound
@@ -170,8 +166,7 @@ if [ "$SKIP_TSAN" -eq 0 ]; then
     echo "== TSan chaos leg: lazy kinds under stall-publisher =="
     # The lazy kinds' commit-time publication window, stretched by the
     # schedule, against concurrent value-validating readers: the
-    # clock-held write-back and the filter-ring publish are the shapes
-    # TSan exists to vet.
+    # clock-held write-back is the shape TSan exists to vet.
     build-tsan/bench/bench_chaos \
         --schedule=stall-publisher --seed=1 --seconds=2 --threads=1,4 \
         --algos=norec-lazy,hy-norec-lazy --stats

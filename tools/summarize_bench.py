@@ -9,8 +9,8 @@ throughput and the paper's analysis rows at the chosen thread count,
 plus the RH-vs-HY headline ratios.
 
 The path may be a directory of captures: every file in it is parsed
-independently (so a legacy capture without the overload columns can
-sit next to a current one) and the rows are folded into one summary.
+independently and the rows are folded into one summary. Lines that do
+not match the current column schema are skipped.
 """
 
 import os
@@ -27,35 +27,10 @@ COLS = [
     "verified",
 ]
 
-# Captures from before the deadline/admission columns were added.
-PRE_OVERLOAD_COLS = COLS[:27] + ["verified"]
-
-# Captures from before the crash-recovery columns were added.
-PRE_RECOVERY_COLS = COLS[:23] + ["verified"]
-
-# Captures from before the accesses-per-op column was added.
-PRE_ACCESS_COLS = COLS[:22] + ["verified"]
-
-# Captures from before the irrevocable-upgrades column was added.
-PRE_IRREV_COLS = COLS[:21] + ["verified"]
-
-# Captures from before the latency/stall columns were added.
-PRE_LATENCY_COLS = COLS[:17] + ["verified"]
-
-# Captures from before the fault-injection columns were added.
-LEGACY_COLS = COLS[:12] + ["verified"]
-
 FLOAT_COLS = ("throughput", "conflict", "capacity", "restarts",
               "slowpath", "prefix", "postfix", "injected",
               "subscription", "attempts", "ks_bypass", "p50_us",
               "p99_us", "max_us", "accesses", "recovery_ms")
-
-# Defaults for rows captured before the crash-recovery columns.
-NO_RECOVERY = dict(crashes="0", replayed="0", discarded="0",
-                   recovery_ms="0")
-
-# Defaults for rows captured before the deadline/admission columns.
-NO_OVERLOAD = dict(deadline_exc="0", adm_shed="0", adm_queued="0")
 
 
 def ns_per_access(row):
@@ -68,10 +43,8 @@ def ns_per_access(row):
 def parse(path):
     """Parse one capture file, or fold in every file of a directory.
 
-    The fold-in is per-file: each file's lines are classified against
-    the schema table independently, so mixing captures from different
-    eras in one directory cannot confuse the classification (and a
-    directory path no longer crashes with IsADirectoryError).
+    The fold-in is per-file, so a directory path does not crash with
+    IsADirectoryError.
     """
     if os.path.isdir(path):
         rows = []
@@ -87,35 +60,9 @@ def parse(path):
             if not line or line.startswith(("#", "bench,", "###")):
                 continue
             parts = line.split(",")
-            if len(parts) == len(COLS):
-                row = dict(zip(COLS, parts))
-            elif len(parts) == len(PRE_OVERLOAD_COLS):
-                row = dict(zip(PRE_OVERLOAD_COLS, parts))
-                row.update(NO_OVERLOAD)
-            elif len(parts) == len(PRE_RECOVERY_COLS):
-                row = dict(zip(PRE_RECOVERY_COLS, parts))
-                row.update(**NO_RECOVERY, **NO_OVERLOAD)
-            elif len(parts) == len(PRE_ACCESS_COLS):
-                row = dict(zip(PRE_ACCESS_COLS, parts))
-                row.update(accesses="0", **NO_RECOVERY, **NO_OVERLOAD)
-            elif len(parts) == len(PRE_IRREV_COLS):
-                row = dict(zip(PRE_IRREV_COLS, parts))
-                row.update(irrev="0", accesses="0", **NO_RECOVERY,
-                           **NO_OVERLOAD)
-            elif len(parts) == len(PRE_LATENCY_COLS):
-                row = dict(zip(PRE_LATENCY_COLS, parts))
-                row.update(p50_us="0", p99_us="0", max_us="0",
-                           stalls="0", irrev="0", accesses="0",
-                           **NO_RECOVERY, **NO_OVERLOAD)
-            elif len(parts) == len(LEGACY_COLS):
-                row = dict(zip(LEGACY_COLS, parts))
-                row.update(injected="0", subscription="0",
-                           attempts="0", ks_act="0", ks_bypass="0",
-                           p50_us="0", p99_us="0", max_us="0",
-                           stalls="0", irrev="0", accesses="0",
-                           **NO_RECOVERY, **NO_OVERLOAD)
-            else:
+            if len(parts) != len(COLS):
                 continue
+            row = dict(zip(COLS, parts))
             try:
                 row["threads"] = int(row["threads"])
                 row["ks_act"] = int(row["ks_act"])
