@@ -244,12 +244,6 @@ HybridNOrecLazySession::releaseCommitLocks()
 }
 
 void
-HybridNOrecLazySession::restart()
-{
-    throw TxRestart{};
-}
-
-void
 HybridNOrecLazySession::onHtmAbort(const HtmAbort &abort)
 {
     assert(core_.mode == ExecMode::kFast);

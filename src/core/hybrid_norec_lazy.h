@@ -109,8 +109,6 @@ class HybridNOrecLazySession : public TxSession
     /** Drop the clock/HTM locks held during a commit write-back. */
     void releaseCommitLocks();
 
-    [[noreturn]] void restart();
-
     SessionCore core_;
     CommitSeqlock<EngineMem> seqlock_;
 

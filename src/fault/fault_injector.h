@@ -47,7 +47,7 @@ enum class FaultSite : unsigned
     kTxRead,          //!< Each transactional read (the "Nth read" knob).
     kTxWrite,         //!< Each transactional (buffered) write.
     kPreCommit,       //!< HtmTxn::commit entry, before publication.
-    kPublishWindow,   //!< Inside the publication window (seq is odd).
+    kPublishWindow,   //!< Inside the publication window (write stripes locked).
     kPrefixCommit,    //!< RH prefix about to commit (Algorithm 3).
     kPostFirstWrite,  //!< Slow path just acquired the clock (Algorithm 2).
     kPostfixCommit,   //!< RH postfix about to publish (Algorithm 2).

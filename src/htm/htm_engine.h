@@ -17,14 +17,18 @@
  *  4. Tracking capacity is bounded, and aborts say whether retrying may
  *     help.
  *
- * Mechanically: a global sequence counter (odd while anybody publishes)
- * plus a striped per-cache-line version table. Commits and direct
- * stores publish under an internal mutex; transactional reads log
+ * Mechanically: a striped per-cache-line version table whose words
+ * double as versioned locks (bit 0 set = locked), plus a global
+ * publication sequence that every commit and direct store advances by
+ * 2 before it writes a value. A commit locks only the stripes of its
+ * write set, so it stalls only the readers of its own lines, the way
+ * coherence-based conflict detection does. Transactional reads log
  * (stripe, version) pairs and are fully re-validated whenever the
  * sequence advances, so conflicts abort the reader at its next
  * transactional access -- observably equivalent to RTM's asynchronous
  * coherence abort given that simulated transactions touch shared state
- * only through this API.
+ * only through this API. DESIGN.md section 6.1 gives the opacity
+ * argument.
  */
 
 #ifndef RHTM_HTM_HTM_ENGINE_H
@@ -32,11 +36,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "src/htm/htm_config.h"
 #include "src/util/backoff.h"
+#include "src/util/sched_point.h"
 
 namespace rhtm
 {
@@ -61,8 +66,9 @@ class HtmEngine
 
     /**
      * Non-transactional load, atomic with respect to hardware-commit
-     * publication (a plain racing load could otherwise observe a torn
-     * commit, which real hardware makes impossible).
+     * publication: it waits while its own stripe is locked, so it never
+     * returns a value of a commit that is still writing (which real
+     * hardware makes impossible).
      */
     uint64_t directLoad(const uint64_t *addr) const;
 
@@ -74,14 +80,18 @@ class HtmEngine
 
     /**
      * Non-transactional compare-and-swap; returns true on success and
-     * refreshes @p expected with the observed value on failure.
+     * refreshes @p expected with the observed value on failure. A
+     * failed CAS leaves the line version unchanged.
      */
     bool directCas(uint64_t *addr, uint64_t &expected, uint64_t desired);
 
     /** Non-transactional fetch-and-add; returns the previous value. */
     uint64_t directFetchAdd(uint64_t *addr, uint64_t delta);
 
-    /** Current publication sequence (even = quiescent). */
+    /**
+     * Current publication sequence. Always even: each commit or direct
+     * store advances it by 2 before writing its first value.
+     */
     uint64_t
     seq() const
     {
@@ -96,7 +106,7 @@ class HtmEngine
         return (line * 0x9e3779b97f4a7c15ull) >> stripeShift_;
     }
 
-    /** Current version of stripe @p stripe. */
+    /** Current version of stripe @p stripe (odd while locked). */
     uint64_t
     stripeVersion(size_t stripe) const
     {
@@ -107,43 +117,52 @@ class HtmEngine
     friend class HtmTxn;
 
     /**
-     * RAII publication window: takes the publish mutex and makes the
-     * sequence odd; the destructor makes it even again. Everything that
-     * mutates TM-visible memory does so inside one of these.
+     * Wait-loop step for a thread that found a stripe locked: a
+     * scheduling wait point, then PAUSE, and an OS yield every 64th
+     * step so an oversubscribed host runs the holder.
      */
-    class PublishGuard
+    static void
+    lockedStripeWait(uint32_t &spins, const void *addr)
     {
-      public:
-        explicit PublishGuard(HtmEngine &eng) : eng_(eng)
-        {
-            eng_.publishLock_.lock();
-            eng_.seq_.fetch_add(1, std::memory_order_acq_rel);
+        schedWaitPoint(SchedPoint::kWaitSpin, addr);
+        if (++spins >= 64) {
+            std::this_thread::yield();
+            spins = 0;
+        } else {
+            cpuRelax();
         }
+    }
 
-        ~PublishGuard()
-        {
-            eng_.seq_.fetch_add(1, std::memory_order_acq_rel);
-            eng_.publishLock_.unlock();
-        }
+    /** Spin until @p stripe is unlocked; return its (even) version. */
+    uint64_t
+    waitUnlocked(size_t stripe) const
+    {
+        uint64_t v = stripeVersion(stripe);
+        for (uint32_t spins = 0; v & 1; v = stripeVersion(stripe))
+            lockedStripeWait(spins, &stripes_[stripe]);
+        return v;
+    }
 
-        PublishGuard(const PublishGuard &) = delete;
-        PublishGuard &operator=(const PublishGuard &) = delete;
+    /**
+     * Lock stripe @p s (the stripe of @p addr), waiting out any holder;
+     * return its version before the lock.
+     */
+    static uint64_t lockStripe(std::atomic<uint64_t> &s, const void *addr);
 
-      private:
-        HtmEngine &eng_;
-    };
-
-    /** Bump the version of @p addr's stripe (inside a PublishGuard). */
+    /**
+     * The publication step shared by every writer that holds the locks
+     * of the stripes it writes: advance the sequence past them, so a
+     * reader that later sees a new value also sees a new sequence.
+     */
     void
-    bumpStripe(const void *addr)
+    announcePublication()
     {
-        stripes_[stripeOf(addr)].fetch_add(1, std::memory_order_release);
+        seq_.fetch_add(2, std::memory_order_acq_rel);
     }
 
     HtmConfig cfg_;
     unsigned stripeShift_;
     std::atomic<uint64_t> seq_;
-    std::mutex publishLock_;
     std::vector<std::atomic<uint64_t>> stripes_;
 };
 

@@ -48,7 +48,8 @@ HtmTxn::HtmTxn(HtmEngine &eng, unsigned tid, ThreadStats *stats,
       // tables. A written line holds 8 words.
       readLines_(tableBoundLog2(readCap_)),
       writes_(tableBoundLog2(writeCap_) + (HtmEngine::kLineShift - 3)),
-      writeLines_(tableBoundLog2(writeCap_))
+      writeLines_(tableBoundLog2(writeCap_)),
+      held_(((size_t(1) << eng.config().stripeCountLog2) + 63) / 64)
 {
     const HtmConfig &cfg = eng.config();
     if (fault_ == nullptr && cfg.randomAbortProb > 0.0) {
@@ -138,13 +139,13 @@ void
 HtmTxn::begin()
 {
     assert(!active_ && "simulated HTM does not nest");
-    // Scheduling points sit at the entry of begin/read/write/commit,
-    // outside the publication guard (HtmTxn::faultPoint must stay
-    // uninstrumented: it also fires at kPublishWindow, inside it).
+    // Scheduling points sit at the entry of begin/read/write/commit;
+    // commit adds one inside its publication window. HtmTxn::faultPoint
+    // stays uninstrumented, so a site is never a second step.
     schedPoint(SchedPoint::kHtmBegin);
     resetState();
     active_ = true;
-    lastSeq_ = ~uint64_t(0); // Sentinel: no stable window observed yet.
+    lastSeq_ = ~uint64_t(0); // Sentinel: the read log was never validated.
     if (fault_ != nullptr) {
         faultPoint(FaultSite::kHtmBegin);
         // Capacity squeezes are (re)evaluated per transaction.
@@ -164,31 +165,40 @@ HtmTxn::read(const uint64_t *addr)
     if (!writes_.empty() && writes_.lookup(addr, buffered))
         return buffered;
 
+    // A seqlock read of this word's stripe, bracketed by the global
+    // sequence: an accepted value is stable in its stripe, and no
+    // publication began since the read log was last validated.
+    // The engine's words are bound to locals: the acquire loads below
+    // would otherwise make the compiler reload them on every step.
     const size_t stripe = eng_.stripeOf(addr);
+    const std::atomic<uint64_t> &seq = eng_.seq_;
+    const std::atomic<uint64_t> &word = eng_.stripes_[stripe];
     auto ref = std::atomic_ref<const uint64_t>(*addr);
-    uint64_t val, ver, s1;
-    for (;;) {
-        s1 = eng_.seq();
-        if (s1 & 1) {
-            cpuRelax();
-            continue;
-        }
+    uint64_t val, ver;
+    for (uint32_t spins = 0;;) {
+        const uint64_t s1 = seq.load(std::memory_order_acquire);
         if (s1 != lastSeq_) {
-            // Memory changed since the last stable window: re-validate
-            // the whole read log inside this window. A mismatch is a
-            // genuine invalidation of a tracked line -> conflict abort
-            // (correct even if this window later proves unstable).
+            // Memory changed since the last validation: re-validate
+            // the whole read log, waiting out stripes a writer holds
+            // (it may be half-way through publishing them). A
+            // mismatch is a genuine invalidation of a tracked line ->
+            // conflict abort.
             for (const ReadEntry &e : readLog_) {
-                if (eng_.stripeVersion(e.stripe) != e.version)
+                if (eng_.waitUnlocked(e.stripe) != e.version)
                     fail(HtmAbortCause::kConflict, true);
             }
-        }
-        val = ref.load(std::memory_order_acquire);
-        ver = eng_.stripeVersion(stripe);
-        if (eng_.seq() == s1) {
             lastSeq_ = s1;
-            break;
         }
+        ver = word.load(std::memory_order_acquire);
+        val = ref.load(std::memory_order_acquire);
+        const uint64_t ver2 = word.load(std::memory_order_acquire);
+        const uint64_t s2 = seq.load(std::memory_order_acquire);
+        // Accept an unlocked, unchanged stripe under an unchanged
+        // sequence (one branch on the common path).
+        if (((ver & 1) | (ver ^ ver2) | (s1 ^ s2)) == 0)
+            break;
+        if (ver & 1)
+            HtmEngine::lockedStripeWait(spins, addr);
     }
 
     bool inserted = false;
@@ -232,31 +242,80 @@ HtmTxn::commit()
     faultPoint(FaultSite::kPreCommit);
 
     if (writes_.empty()) {
-        // Read-only: every read was validated within a stable window;
-        // the transaction serializes at its last validation point.
+        // Read-only: every read was accepted against the sequence the
+        // read log was last validated at; the transaction serializes
+        // at that validation point.
         resetState();
         return;
     }
 
-    {
-        HtmEngine::PublishGuard guard(eng_);
-        for (const ReadEntry &e : readLog_) {
-            if (eng_.stripeVersion(e.stripe) != e.version)
-                fail(HtmAbortCause::kConflict, true);
+    // 1. Lock the write set's stripes in write-buffer order. A stripe
+    //    another writer holds is a conflict: never waiting while
+    //    holding stripe locks keeps commits deadlock-free.
+    std::atomic<uint64_t> *const stripes = eng_.stripes_.data();
+    writes_.forEach([&](uint64_t *addr, uint64_t) {
+        const size_t stripe = eng_.stripeOf(addr);
+        if (holds(stripe))
+            return;
+        std::atomic<uint64_t> &word = stripes[stripe];
+        uint64_t v = word.load(std::memory_order_relaxed);
+        if ((v & 1) ||
+            !word.compare_exchange_strong(v, v | 1,
+                                          std::memory_order_acquire,
+                                          std::memory_order_relaxed)) {
+            abortCommit();
         }
-        // The publication window proper: the sequence is odd and
-        // every concurrent reader spins. A scripted delay here
-        // stretches exactly the window Figure 2's atomic-publication
-        // argument depends on (an abort unwinds through the guard, so
-        // the sequence is restored either way).
-        faultPoint(FaultSite::kPublishWindow);
-        writes_.forEach([this](uint64_t *addr, uint64_t value) {
-            std::atomic_ref<uint64_t>(*addr).store(
-                value, std::memory_order_release);
-            eng_.bumpStripe(addr);
-        });
+        held_[stripe >> 6] |= uint64_t(1) << (stripe & 63);
+        locked_.push_back({static_cast<uint32_t>(stripe), v});
+    });
+    // 2. Validate the read log. A stripe this commit holds reads as its
+    //    pre-lock version plus the lock bit.
+    for (const ReadEntry &e : readLog_) {
+        const uint64_t v = stripes[e.stripe].load(std::memory_order_acquire);
+        if (v != e.version && (v != (e.version | 1) || !holds(e.stripe)))
+            abortCommit();
     }
+    // 3. Announce before the first value lands: a reader that sees a
+    //    new value also sees the new sequence and re-validates.
+    eng_.announcePublication();
+    try {
+        // The publication window proper: the write stripes are locked
+        // and only their readers wait. A scripted delay here stretches
+        // exactly the window Figure 2's atomic-publication argument
+        // depends on; the scheduling point lets the explorer run
+        // readers against a half-published commit. An abort or a
+        // torn-down run leaves before any value is written.
+        faultPoint(FaultSite::kPublishWindow);
+        schedPoint(SchedPoint::kHtmPublish);
+    } catch (...) {
+        unlockStripes(0);
+        throw;
+    }
+    // 4. Write the buffered values; 5. unlock at version + 2.
+    writes_.forEach([](uint64_t *addr, uint64_t value) {
+        std::atomic_ref<uint64_t>(*addr).store(value,
+                                               std::memory_order_release);
+    });
+    unlockStripes(2);
     resetState();
+}
+
+void
+HtmTxn::unlockStripes(uint64_t bump)
+{
+    std::atomic<uint64_t> *const stripes = eng_.stripes_.data();
+    for (const ReadEntry &e : locked_) {
+        stripes[e.stripe].store(e.version + bump, std::memory_order_release);
+        held_[e.stripe >> 6] = 0; // Every held bit goes.
+    }
+    locked_.clear();
+}
+
+void
+HtmTxn::abortCommit()
+{
+    unlockStripes(0);
+    fail(HtmAbortCause::kConflict, true);
 }
 
 void

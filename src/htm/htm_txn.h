@@ -29,9 +29,12 @@ namespace rhtm
  * the exception is caught. One instance per thread; not reentrant (real
  * RTM flat-nests, and this codebase never nests hardware transactions).
  *
- * Opacity: every transactional read is validated against the engine's
- * stripe versions within a stable publication window, so a body never
- * observes two reads from different memory snapshots.
+ * Opacity: a transactional read is a seqlock read of its own stripe,
+ * accepted only while the engine's publication sequence still equals
+ * the one the whole read log was last validated at, so a body never
+ * observes two reads from different memory snapshots. A commit locks
+ * only its write stripes, so it delays only the readers of those lines
+ * (DESIGN.md section 6.1).
  */
 class HtmTxn
 {
@@ -135,6 +138,7 @@ class HtmTxn
     }
 
   private:
+    /** A stripe and its (even) version: a read or a pre-lock entry. */
     struct ReadEntry
     {
         uint32_t stripe;
@@ -163,6 +167,22 @@ class HtmTxn
     /** Act on a fault the injector fired (delay, yield or abort). */
     void applyFault(FaultKind kind, uint32_t spins);
 
+    /**
+     * Unlock the stripes this commit holds at their pre-lock version
+     * plus @p bump (0 = nothing was written, 2 = published).
+     */
+    void unlockStripes(uint64_t bump);
+
+    /** Commit-time conflict: unlock the held stripes and abort. */
+    [[noreturn]] void abortCommit();
+
+    /** True while this commit holds stripe @p stripe locked. */
+    bool
+    holds(size_t stripe) const
+    {
+        return (held_[stripe >> 6] >> (stripe & 63)) & 1;
+    }
+
     /** Reset tracking state to idle. */
     void resetState();
 
@@ -180,6 +200,8 @@ class HtmTxn
     FixedHashSet readLines_;
     WriteBuffer writes_;
     FixedHashSet writeLines_;
+    std::vector<ReadEntry> locked_; //!< Stripes commit holds, pre-lock.
+    std::vector<uint64_t> held_;    //!< The same stripes, one bit each.
 };
 
 } // namespace rhtm

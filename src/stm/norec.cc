@@ -424,12 +424,6 @@ NOrecLazySession::becomeIrrevocable()
 }
 
 void
-NOrecLazySession::restart()
-{
-    throw TxRestart{};
-}
-
-void
 NOrecLazySession::onHtmAbort(const HtmAbort &abort)
 {
     (void)abort;

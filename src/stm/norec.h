@@ -190,8 +190,6 @@ class NOrecLazySession : public TxSession
      */
     uint64_t validate();
 
-    [[noreturn]] void restart();
-
     TmGlobals &g_;
     ThreadStats *stats_;
     unsigned penalty_;

@@ -21,10 +21,14 @@
  * generating unbounded spin-only schedules.
  *
  * Hard rule for placing points: never at a program point where the
- * caller holds a non-TM lock (e.g. inside HtmEngine's publication
- * guard) -- the explorer suspends threads at points, and a suspended
- * mutex holder would deadlock every other thread against the OS lock
- * rather than against TM state the scheduler can reason about.
+ * caller holds a non-TM lock (an OS mutex) -- the explorer suspends
+ * threads at points, and a suspended mutex holder would deadlock every
+ * other thread against a lock the scheduler cannot see. TM locks are
+ * fine: the simulated HTM's stripe locks, the commit clock and the
+ * serial lock are TM state, and every loop that waits on one runs a
+ * wait point per iteration, so the scheduler parks the waiters and
+ * runs the holder (HtmTxn::commit's kHtmPublish point is inside its
+ * stripe locks for exactly that reason).
  */
 
 #ifndef RHTM_UTIL_SCHED_POINT_H
@@ -49,6 +53,7 @@ enum class SchedPoint : uint8_t
     kHtmRead,         //!< HtmTxn transactional read.
     kHtmWrite,        //!< HtmTxn transactional (buffered) write.
     kHtmCommit,       //!< HtmTxn::commit entry (before publication).
+    kHtmPublish,      //!< HtmTxn::commit, stripes locked, values unwritten.
     kEarlySubscribe,  //!< htmEarlySubscribe's coordination-word read.
     kSeqlockAcquire,  //!< CommitSeqlock CAS attempt on the clock.
     kSeqlockRelease,  //!< CommitSeqlock unlock (advance or restore).
@@ -76,6 +81,7 @@ schedPointName(SchedPoint p)
       case SchedPoint::kHtmRead: return "htm-read";
       case SchedPoint::kHtmWrite: return "htm-write";
       case SchedPoint::kHtmCommit: return "htm-commit";
+      case SchedPoint::kHtmPublish: return "htm-publish";
       case SchedPoint::kEarlySubscribe: return "early-subscribe";
       case SchedPoint::kSeqlockAcquire: return "seqlock-acquire";
       case SchedPoint::kSeqlockRelease: return "seqlock-release";

@@ -2,9 +2,9 @@
 # One-stop CI gate: the include-layering lint, the tier-1 build + test
 # suite, the interleaving-explorer `check` leg (docs/CHECKING.md), the
 # crash-recovery sweep with its reverted-fix regression and an ASan
-# replay leg (docs/PERSISTENCE.md), and a single ThreadSanitizer chaos
-# leg as a concurrency smoke check (the full sanitizer soak matrix
-# lives in tools/run_chaos.sh).
+# replay leg (docs/PERSISTENCE.md), and ThreadSanitizer chaos and
+# simulated-HTM legs as concurrency smoke checks (the full sanitizer
+# soak matrix lives in tools/run_chaos.sh).
 #
 # Usage: tools/ci.sh [--skip-tsan]
 set -euo pipefail
@@ -170,6 +170,16 @@ if [ "$SKIP_TSAN" -eq 0 ]; then
     build-tsan/bench/bench_chaos \
         --schedule=stall-publisher --seed=1 --seconds=2 --threads=1,4 \
         --algos=norec-lazy,hy-norec-lazy --stats
+    echo "== TSan leg: simulated-HTM stripe locks =="
+    # The hand-rolled per-stripe versioned locks and seqlock reads:
+    # htm_tests runs real threads against a committer parked in its
+    # publication window, and the chaos schedule stretches that window
+    # under both hybrids' fast paths and slow paths.
+    cmake --build build-tsan -j "$(nproc)" --target htm_tests
+    build-tsan/tests/htm_tests
+    build-tsan/bench/bench_chaos \
+        --schedule=delay-in-publish-window --seed=1 --seconds=2 \
+        --threads=1,4 --algos=rh-norec,hy-norec --stats
 fi
 
 echo "ci gate passed"
